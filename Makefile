@@ -38,10 +38,12 @@ chaos:
 
 # chaos-mm drills the replicated metadata plane on its own: kill 1 of N
 # live MM shards mid-workload (lease cache + successor failover keep
-# opens green), stale-lease expiry racing the takeover handoff, and the
-# in-process replicated-shard kill/takeover/heal suite — race-enabled.
+# opens green), stale-lease expiry racing the takeover handoff, a heal
+# from a takeover copy after a whole owner set died, the in-process
+# replicated-shard kill/takeover/heal suite, and the differential run of
+# one op script through the in-process and TCP transports — race-enabled.
 chaos-mm:
-	$(GO) test -race -count=1 -run 'ShardChaos|Replicated|ShardHealth|Unreplicated' ./internal/live/ ./internal/mm/
+	$(GO) test -race -count=1 -run 'ShardChaos|Replicated|ShardHealth|Unreplicated|ShardDifferential' ./internal/live/ ./internal/mm/
 
 # cover writes one profile per gated package plus a merged coverage.out
 # for the CI artifact, then enforces the floors via the gate script:

@@ -38,7 +38,6 @@ const shutdownTimeout = 3 * time.Second
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
-		shards  = flag.Int("shards", 1, "DHT shards for the replica map (1 = the paper's single MM)")
 		rep     = flag.Int("replication", 1, "owner shards per file mapping (successor-list replication; 1 = unreplicated)")
 		shardIx = flag.Int("shard-index", 0, "this daemon's ring index within a shard group (with -peers)")
 		peersS  = flag.String("peers", "", "comma-separated addresses of every shard-group member, ring-index aligned (enables shard-group mode)")
@@ -63,27 +62,20 @@ func main() {
 	tracer := trace.New(trace.Options{Actor: "mm", RingSize: *traceN, Registry: reg})
 	lcfg := mm.LivenessConfig{HeartbeatInterval: *hbIv, MissThreshold: *misses}
 	script, err := faults.Parse(*faultsS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	if script != nil {
 		script.SetMetrics(faults.NewMetrics(reg))
 	}
-	// Three deployment shapes: a shard-group member (-peers) serving one
-	// slice of the keyspace and mirroring to successors over TCP, an
-	// in-process sharded map (-shards > 1, the DES-style single binary),
-	// or the paper's single MM.
+	// Two deployment shapes: a shard-group member (-peers) serving one
+	// slice of the keyspace and mirroring to successors over TCP, or the
+	// paper's single MM.
 	var mapper ecnp.Mapper
 	var shard *live.MMShard
 	var peerList []string
 	if *peersS != "" {
 		peerList = strings.Split(*peersS, ",")
 		s, err := live.NewMMShard(*shardIx, len(peerList), *rep, mm.LivenessConfig{HeartbeatInterval: *beatIv, MissThreshold: *misses})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		s.SetLiveness(lcfg)
 		s.SetMetrics(mm.NewMetrics(reg))
 		if script != nil {
@@ -91,11 +83,6 @@ func main() {
 		}
 		shard = s
 		mapper = s
-	} else if *shards > 1 {
-		sm := mm.NewShardedReplicated(*shards, *rep)
-		sm.SetLiveness(lcfg)
-		sm.SetMetrics(mm.NewMetrics(reg))
-		mapper = sm
 	} else {
 		m := mm.New()
 		m.SetLiveness(lcfg)
@@ -103,10 +90,7 @@ func main() {
 		mapper = m
 	}
 	srv, err := live.NewMMServer(mapper, *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	srv.SetReplyTimeout(tcfg.CallTimeout)
 	srv.SetMetrics(live.NewServerMetrics(reg, "mm"))
 	srv.SetTracer(tracer)
@@ -128,34 +112,25 @@ func main() {
 		// Peers dial lazily per call, so member start order does not
 		// matter: a not-yet-listening successor just fails its first
 		// mirrors and reconverges through the heal handoff.
-		if err := shard.DialPeers(peerList, *tcfg); err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(shard.DialPeers(peerList, *tcfg))
 		stopBeats = shard.StartShardBeats(*beatIv)
 		log.Printf("mmd: shard %d/%d listening on %s (replication %d, shard beat %v)",
 			*shardIx, len(peerList), srv.Addr(), *rep, *beatIv)
 	} else {
-		log.Printf("mmd: metadata manager listening on %s (%d shard(s), replication %d)", srv.Addr(), *shards, *rep)
+		log.Printf("mmd: metadata manager listening on %s", srv.Addr())
 	}
 	var monSrv *http.Server
 	if *monAddr != "" {
 		var bound string
 		monSrv, bound, err = monitor.Serve(*monAddr, monitor.NewMMHandler(mapper, reg, tracer))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		log.Printf("mmd: stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", bound, bound, bound)
 	}
 	var dbgSrv *http.Server
 	if *dbgAddr != "" {
 		var bound string
 		dbgSrv, bound, err = monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		log.Printf("mmd: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
 	}
 
@@ -176,4 +151,12 @@ func main() {
 		log.Printf("mmd: debug shutdown: %v", err)
 	}
 	srv.Close()
+}
+
+// exitOn reports a startup failure and exits non-zero (nil is a no-op).
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
+		os.Exit(1)
+	}
 }

@@ -26,6 +26,40 @@ func StartHeartbeats(node *rm.RM, mm Beater, interval time.Duration, logf func(s
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	return every(interval, func() {
+		err := mm.Heartbeat(node.Info().ID)
+		switch {
+		case err == nil:
+		case transport.IsRemote(err):
+			// The MM forgot us: re-register (idempotent; reconciles
+			// the file list) and let the next beacon confirm.
+			if rerr := node.Register(); rerr != nil {
+				logf("live: heartbeat re-register %v: %v", node.Info().ID, rerr)
+			}
+		default:
+			logf("live: heartbeat %v: %v", node.Info().ID, err)
+		}
+	})
+}
+
+// StartLeaseSweeper expires orphaned reservations on node every period
+// until the returned stop function is called, reading the clock from the
+// scheduler the RM itself runs on (wall time in live deployments). It is
+// a no-op loop when the RM has no lease TTL configured.
+func StartLeaseSweeper(node *rm.RM, sched ecnp.Scheduler, period time.Duration, logf func(string, ...any)) (stop func()) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	return every(period, func() {
+		if n := node.SweepLeases(sched.Now()); n > 0 {
+			logf("live: %v: lease sweeper reclaimed %d reservation(s)", node.Info().ID, n)
+		}
+	})
+}
+
+// every runs fn every interval on its own goroutine until the returned
+// stop function is called; stop returns once the goroutine has exited.
+func every(interval time.Duration, fn func()) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -37,49 +71,7 @@ func StartHeartbeats(node *rm.RM, mm Beater, interval time.Duration, logf func(s
 			case <-quit:
 				return
 			case <-tick.C:
-			}
-			err := mm.Heartbeat(node.Info().ID)
-			switch {
-			case err == nil:
-			case transport.IsRemote(err):
-				// The MM forgot us: re-register (idempotent; reconciles
-				// the file list) and let the next beacon confirm.
-				if rerr := node.Register(); rerr != nil {
-					logf("live: heartbeat re-register %v: %v", node.Info().ID, rerr)
-				}
-			default:
-				logf("live: heartbeat %v: %v", node.Info().ID, err)
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
-}
-
-// StartLeaseSweeper expires orphaned reservations on node every period
-// until the returned stop function is called, reading the clock from the
-// scheduler the RM itself runs on (wall time in live deployments). It is
-// a no-op loop when the RM has no lease TTL configured.
-func StartLeaseSweeper(node *rm.RM, sched ecnp.Scheduler, period time.Duration, logf func(string, ...any)) (stop func()) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-			}
-			if n := node.SweepLeases(sched.Now()); n > 0 {
-				logf("live: %v: lease sweeper reclaimed %d reservation(s)", node.Info().ID, n)
+				fn()
 			}
 		}
 	}()

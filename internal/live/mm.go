@@ -19,7 +19,7 @@ import (
 
 // MMServer serves a Metadata Manager over TCP. One goroutine per
 // connection; the mapper implementations are internally synchronized.
-// Both the single mm.Manager and the DHT-sharded mm.ShardedManager fit.
+// The single mm.Manager and a shard-group member (MMShard) both fit.
 type MMServer struct {
 	mgr ecnp.Mapper
 	ln  net.Listener
@@ -179,7 +179,7 @@ func (s *MMServer) serveConn(conn net.Conn) {
 }
 
 // beater is the optional liveness surface of a mapper. mm.Manager and
-// mm.ShardedManager implement it; a mapper that does not (or a deployment
+// MMShard implement it; a mapper that does not (or a deployment
 // with liveness disabled) simply accepts and ignores beacons, keeping
 // ecnp.Mapper untouched.
 type beater interface {
@@ -220,68 +220,54 @@ func (s *MMServer) handle(wc *wire.Conn, msg wire.Msg) error {
 }
 
 func (s *MMServer) dispatch(wc *wire.Conn, msg wire.Msg) error {
+	bad := func() error { return wc.WriteError(fmt.Errorf("bad %v payload", msg.Kind)) }
 	switch msg.Kind {
 	case wire.KindRegisterRM:
 		req, ok := msg.Payload.(wire.RegisterRM)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RegisterRM payload"))
+			return bad()
 		}
-		if err := s.mgr.RegisterRM(req.Info, req.Files); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
+		return ack(wc, s.mgr.RegisterRM(req.Info, req.Files))
 	case wire.KindLookup:
 		req, ok := msg.Payload.(wire.FileRef)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Lookup payload"))
+			return bad()
 		}
 		return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.Lookup(req.File)})
 	case wire.KindRMsWithout:
 		req, ok := msg.Payload.(wire.FileRef)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RMsWithout payload"))
+			return bad()
 		}
 		return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.RMsWithout(req.File)})
 	case wire.KindAddReplica:
 		req, ok := msg.Payload.(wire.ReplicaRef)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad AddReplica payload"))
+			return bad()
 		}
-		if err := s.mgr.AddReplica(req.File, req.RM); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
+		return ack(wc, s.mgr.AddReplica(req.File, req.RM))
 	case wire.KindRemoveReplica:
 		req, ok := msg.Payload.(wire.ReplicaRef)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RemoveReplica payload"))
+			return bad()
 		}
-		if err := s.mgr.RemoveReplica(req.File, req.RM); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
+		return ack(wc, s.mgr.RemoveReplica(req.File, req.RM))
 	case wire.KindBeginReplication:
 		req, ok := msg.Payload.(wire.BeginReplication)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad BeginReplication payload"))
+			return bad()
 		}
-		if err := s.mgr.BeginReplication(req.File, req.RM, req.MaxTotal); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
+		return ack(wc, s.mgr.BeginReplication(req.File, req.RM, req.MaxTotal))
 	case wire.KindEndReplication:
 		req, ok := msg.Payload.(wire.EndReplication)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad EndReplication payload"))
+			return bad()
 		}
-		if err := s.mgr.EndReplication(req.File, req.RM, req.Commit); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
+		return ack(wc, s.mgr.EndReplication(req.File, req.RM, req.Commit))
 	case wire.KindReplicaCount:
 		req, ok := msg.Payload.(wire.FileRef)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ReplicaCount payload"))
+			return bad()
 		}
 		return wc.Write(wire.KindCount, wire.Count{N: s.mgr.ReplicaCount(req.File)})
 	case wire.KindRMs:
@@ -289,65 +275,56 @@ func (s *MMServer) dispatch(wc *wire.Conn, msg wire.Msg) error {
 	case wire.KindHeartbeat:
 		hb, ok := msg.Payload.(wire.Heartbeat)
 		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Heartbeat payload"))
+			return bad()
 		}
 		if b, ok := s.mgr.(beater); ok {
-			if err := b.Heartbeat(hb.RM); err != nil {
+			return ack(wc, b.Heartbeat(hb.RM))
+		}
+		return ack(wc, nil)
+	case wire.KindShardBeat, wire.KindShardMirror, wire.KindShardHandoff:
+		peer, ok := s.mgr.(shardPeer)
+		if !ok {
+			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
+		}
+		switch p := msg.Payload.(type) {
+		case wire.ShardBeat:
+			if msg.Kind == wire.KindShardBeat {
+				return ack(wc, peer.PeerBeat(int(p.Shard)))
+			}
+		case wire.ShardMirror:
+			if msg.Kind == wire.KindShardMirror {
+				return ack(wc, peer.ApplyMirror(p))
+			}
+		case wire.ShardHandoff:
+			if msg.Kind != wire.KindShardHandoff {
+				break
+			}
+			n, err := peer.ApplyHandoff(p)
+			if err != nil {
 				return wc.WriteError(err)
 			}
+			return wc.Write(wire.KindCount, wire.Count{N: n})
 		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardBeat:
-		b, ok := msg.Payload.(wire.ShardBeat)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardBeat payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		if err := peer.PeerBeat(int(b.Shard)); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardMirror:
-		mir, ok := msg.Payload.(wire.ShardMirror)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardMirror payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		if err := peer.ApplyMirror(mir); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardHandoff:
-		ho, ok := msg.Payload.(wire.ShardHandoff)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardHandoff payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		n, err := peer.ApplyHandoff(ho)
-		if err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindCount, wire.Count{N: n})
+		return bad()
 	default:
 		return wc.WriteError(fmt.Errorf("mm: unexpected message %v", msg.Kind))
 	}
+}
+
+// ack answers a request whose only result is err.
+func ack(wc *wire.Conn, err error) error {
+	if err != nil {
+		return wc.WriteError(err)
+	}
+	return wc.Write(wire.KindAck, wire.Ack{})
 }
 
 // MMClient is an ecnp.Mapper stub over a pooled transport: concurrent
 // calls proceed on independent connections with dial and call deadlines
 // instead of serializing behind one mutex-guarded socket.
 type MMClient struct {
-	t    *transport.Client
-	logf func(string, ...any)
+	mapperStub
+	t *transport.Client
 }
 
 // DialMM connects to an MM server with the default transport tuning,
@@ -362,7 +339,7 @@ func DialMMConfig(addr string, cfg transport.Config) (*MMClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: dial mm %s: %w", addr, err)
 	}
-	return &MMClient{t: t, logf: func(string, ...any) {}}, nil
+	return newMMClient(t), nil
 }
 
 // NewMMClient attaches a client stub without probing connectivity: the
@@ -370,7 +347,24 @@ func DialMMConfig(addr string, cfg transport.Config) (*MMClient, error) {
 // shard mapper use this so a listed-but-down member never blocks
 // startup — the whole point of the group is surviving a dead member.
 func NewMMClient(addr string, cfg transport.Config) *MMClient {
-	return &MMClient{t: transport.NewClient(addr, cfg), logf: func(string, ...any) {}}
+	return newMMClient(transport.NewClient(addr, cfg))
+}
+
+func newMMClient(t *transport.Client) *MMClient {
+	call := func(kind wire.Kind, payload any) (wire.Msg, error) {
+		return t.Call(context.Background(), kind, payload)
+	}
+	return &MMClient{t: t, mapperStub: mapperStub{
+		file: func(ctx context.Context, _ ids.FileID, kind wire.Kind, payload any) (wire.Msg, error) {
+			return t.Call(ctx, kind, payload)
+		},
+		fan: func(kind wire.Kind, payload any) error {
+			_, err := call(kind, payload)
+			return err
+		},
+		first: call,
+		log:   func(string, ...any) {},
+	}}
 }
 
 // SetLogger routes client-side diagnostics (lookup failures and the like)
@@ -379,24 +373,41 @@ func (c *MMClient) SetLogger(logf func(string, ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c.logf = logf
+	c.log = logf
 }
 
 // Close releases all pooled connections.
 func (c *MMClient) Close() error { return c.t.Close() }
 
-func (c *MMClient) call(kind wire.Kind, payload any) (wire.Msg, error) {
-	return c.t.Call(context.Background(), kind, payload)
+// mapperStub is the ecnp.Mapper client surface MMClient (one MM) and
+// ShardMapper (a shard group) share: it builds each request frame and
+// decodes the reply, and leaves routing to its owner's send functions.
+type mapperStub struct {
+	// file sends a call about one file.
+	file func(ctx context.Context, f ids.FileID, kind wire.Kind, payload any) (wire.Msg, error)
+	// fan sends a registration or heartbeat to every MM.
+	fan func(kind wire.Kind, payload any) error
+	// first sends a group-wide query that any one MM answers.
+	first func(kind wire.Kind, payload any) (wire.Msg, error)
+	// log reports the failures ecnp.Mapper signatures cannot return.
+	log func(string, ...any)
 }
 
-// RegisterRM implements ecnp.Mapper.
-func (c *MMClient) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
-	_, err := c.call(wire.KindRegisterRM, wire.RegisterRM{Info: info, Files: files})
-	return err
+// RegisterRM implements ecnp.Mapper (a shard group keeps, per member,
+// the files the member owns).
+func (c *mapperStub) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
+	return c.fan(wire.KindRegisterRM, wire.RegisterRM{Info: info, Files: files})
+}
+
+// Heartbeat sends one liveness beacon for id. A remote error means an MM
+// does not know the RM (e.g. it restarted and lost the resource list):
+// the caller must re-register, which also reconciles its file list.
+func (c *mapperStub) Heartbeat(id ids.RMID) error {
+	return c.fan(wire.KindHeartbeat, wire.Heartbeat{RM: id})
 }
 
 // Lookup implements ecnp.Mapper.
-func (c *MMClient) Lookup(file ids.FileID) []ids.RMID {
+func (c *mapperStub) Lookup(file ids.FileID) []ids.RMID {
 	return c.LookupContext(context.Background(), file)
 }
 
@@ -404,10 +415,10 @@ func (c *MMClient) Lookup(file ids.FileID) []ids.RMID {
 // round trip and a span context attached via trace.NewContext rides the
 // request frame, so the MM's readdir handling appears in the caller's
 // trace.
-func (c *MMClient) LookupContext(ctx context.Context, file ids.FileID) []ids.RMID {
+func (c *mapperStub) LookupContext(ctx context.Context, file ids.FileID) []ids.RMID {
 	holders, err := c.LookupErrContext(ctx, file)
 	if err != nil {
-		c.logf("live: mm lookup: %v", err)
+		c.log("live: mm lookup: %v", err)
 	}
 	return holders
 }
@@ -415,8 +426,8 @@ func (c *MMClient) LookupContext(ctx context.Context, file ids.FileID) []ids.RMI
 // LookupErrContext is LookupContext surfacing the failure with the
 // transport taxonomy intact (dfsc's error-reporting mapper interface), so
 // the client can tell a dead MM from a file with no replicas.
-func (c *MMClient) LookupErrContext(ctx context.Context, file ids.FileID) ([]ids.RMID, error) {
-	reply, err := c.t.Call(ctx, wire.KindLookup, wire.FileRef{File: file})
+func (c *mapperStub) LookupErrContext(ctx context.Context, file ids.FileID) ([]ids.RMID, error) {
+	reply, err := c.file(ctx, file, wire.KindLookup, wire.FileRef{File: file})
 	if err != nil {
 		return nil, err
 	}
@@ -427,75 +438,64 @@ func (c *MMClient) LookupErrContext(ctx context.Context, file ids.FileID) ([]ids
 }
 
 // RMsWithout implements ecnp.Mapper.
-func (c *MMClient) RMsWithout(file ids.FileID) []ids.RMID {
-	reply, err := c.call(wire.KindRMsWithout, wire.FileRef{File: file})
+func (c *mapperStub) RMsWithout(file ids.FileID) []ids.RMID {
+	reply, err := c.file(context.Background(), file, wire.KindRMsWithout, wire.FileRef{File: file})
 	if err != nil {
-		c.logf("live: mm rms-without: %v", err)
+		c.log("live: mm rms-without: %v", err)
 		return nil
 	}
-	if l, ok := reply.Payload.(wire.RMList); ok {
-		return l.RMs
-	}
-	return nil
+	l, _ := reply.Payload.(wire.RMList)
+	return l.RMs
+}
+
+// write sends a file-keyed mutation (a shard group's serving owner
+// mirrors it onward).
+func (c *mapperStub) write(file ids.FileID, kind wire.Kind, payload any) error {
+	_, err := c.file(context.Background(), file, kind, payload)
+	return err
 }
 
 // AddReplica implements ecnp.Mapper.
-func (c *MMClient) AddReplica(file ids.FileID, rm ids.RMID) error {
-	_, err := c.call(wire.KindAddReplica, wire.ReplicaRef{File: file, RM: rm})
-	return err
+func (c *mapperStub) AddReplica(file ids.FileID, rm ids.RMID) error {
+	return c.write(file, wire.KindAddReplica, wire.ReplicaRef{File: file, RM: rm})
 }
 
 // RemoveReplica implements ecnp.Mapper.
-func (c *MMClient) RemoveReplica(file ids.FileID, rm ids.RMID) error {
-	_, err := c.call(wire.KindRemoveReplica, wire.ReplicaRef{File: file, RM: rm})
-	return err
+func (c *mapperStub) RemoveReplica(file ids.FileID, rm ids.RMID) error {
+	return c.write(file, wire.KindRemoveReplica, wire.ReplicaRef{File: file, RM: rm})
 }
 
 // BeginReplication implements ecnp.Mapper.
-func (c *MMClient) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
-	_, err := c.call(wire.KindBeginReplication, wire.BeginReplication{File: file, RM: rm, MaxTotal: maxTotal})
-	return err
+func (c *mapperStub) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
+	return c.write(file, wire.KindBeginReplication, wire.BeginReplication{File: file, RM: rm, MaxTotal: maxTotal})
 }
 
 // EndReplication implements ecnp.Mapper.
-func (c *MMClient) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
-	_, err := c.call(wire.KindEndReplication, wire.EndReplication{File: file, RM: rm, Commit: commit})
-	return err
+func (c *mapperStub) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
+	return c.write(file, wire.KindEndReplication, wire.EndReplication{File: file, RM: rm, Commit: commit})
 }
 
 // ReplicaCount implements ecnp.Mapper.
-func (c *MMClient) ReplicaCount(file ids.FileID) int {
-	reply, err := c.call(wire.KindReplicaCount, wire.FileRef{File: file})
+func (c *mapperStub) ReplicaCount(file ids.FileID) int {
+	reply, err := c.file(context.Background(), file, wire.KindReplicaCount, wire.FileRef{File: file})
 	if err != nil {
-		c.logf("live: mm replica-count: %v", err)
+		c.log("live: mm replica-count: %v", err)
 		return 0
 	}
-	if n, ok := reply.Payload.(wire.Count); ok {
-		return n.N
-	}
-	return 0
+	n, _ := reply.Payload.(wire.Count)
+	return n.N
 }
 
-// Heartbeat sends one liveness beacon for id. A remote error means the MM
-// does not know the RM (e.g. the MM restarted and lost the resource
-// list): the caller must re-register, which also reconciles its file
-// list.
-func (c *MMClient) Heartbeat(id ids.RMID) error {
-	_, err := c.call(wire.KindHeartbeat, wire.Heartbeat{RM: id})
-	return err
-}
-
-// RMs implements ecnp.Mapper.
-func (c *MMClient) RMs() []ecnp.RMInfo {
-	reply, err := c.call(wire.KindRMs, nil)
+// RMs implements ecnp.Mapper (the resource list replicates to every
+// shard, so any one that answers is canonical).
+func (c *mapperStub) RMs() []ecnp.RMInfo {
+	reply, err := c.first(wire.KindRMs, nil)
 	if err != nil {
-		c.logf("live: mm rms: %v", err)
+		c.log("live: mm rms: %v", err)
 		return nil
 	}
-	if l, ok := reply.Payload.(wire.RMInfoList); ok {
-		return l.Infos
-	}
-	return nil
+	l, _ := reply.Payload.(wire.RMInfoList)
+	return l.Infos
 }
 
 var _ ecnp.Mapper = (*MMClient)(nil)

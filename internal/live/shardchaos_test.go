@@ -3,6 +3,7 @@ package live_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -51,11 +52,15 @@ var shardChaosBeat = mm.LivenessConfig{HeartbeatInterval: 20 * time.Millisecond,
 // the successor-failover ShardMapper, and handles deep enough to crash
 // and resurrect individual shards.
 type shardCluster struct {
-	n, rep    int
-	shards    []*live.MMShard
-	srvs      []*live.MMServer
-	addrs     []string
-	beatStops []func()
+	t      *testing.T
+	n, rep int
+	// goroutines is the count before the cluster started; teardown must
+	// return to it.
+	goroutines int
+	shards     []*live.MMShard
+	srvs       []*live.MMServer
+	addrs      []string
+	beatStops  []func()
 
 	ring   *mm.Ring
 	mapper *live.ShardMapper
@@ -93,6 +98,18 @@ func (sc *shardCluster) shutdown() {
 		}
 	}
 	sc.sched.Stop()
+	// Everything the group started — beat loops, background heals,
+	// pooled connections, server goroutines — must be joined by now.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > sc.goroutines {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			sc.t.Errorf("goroutines did not settle: %d running, %d before the cluster\n%s",
+				runtime.NumGoroutine(), sc.goroutines, buf[:runtime.Stack(buf, true)])
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // startShardCluster boots an n-member shard group with replication rep
@@ -100,6 +117,7 @@ func (sc *shardCluster) shutdown() {
 // its listed RMs.
 func startShardCluster(t *testing.T, n, rep int, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *shardCluster {
 	t.Helper()
+	goroutines := runtime.NumGoroutine()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 8
 	cfg.MeanDurationSec = 10
@@ -112,21 +130,22 @@ func startShardCluster(t *testing.T, n, rep int, caps []units.BytesPerSec, holde
 	reg := telemetry.NewRegistry()
 	tracer := trace.New(trace.Options{Actor: "cluster", Registry: reg})
 	sc := &shardCluster{
-		n: n, rep: rep,
-		shards:    make([]*live.MMShard, n),
-		srvs:      make([]*live.MMServer, n),
-		addrs:     make([]string, n),
-		beatStops: make([]func(), n),
-		ring:      mm.NewRing(n),
-		sched:     live.NewWallScheduler(100),
-		cat:       cat,
-		reg:       reg,
-		tracer:    tracer,
-		rmSrvs:    make(map[ids.RMID]*live.RMServer),
-		nodes:     make(map[ids.RMID]*rm.RM),
-		disks:     make(map[ids.RMID]*vdisk.Disk),
-		mmMet:     mm.NewMetrics(reg),
-		smMet:     live.NewShardMapperMetrics(reg),
+		t: t, n: n, rep: rep,
+		goroutines: goroutines,
+		shards:     make([]*live.MMShard, n),
+		srvs:       make([]*live.MMServer, n),
+		addrs:      make([]string, n),
+		beatStops:  make([]func(), n),
+		ring:       mm.NewRing(n),
+		sched:      live.NewWallScheduler(100),
+		cat:        cat,
+		reg:        reg,
+		tracer:     tracer,
+		rmSrvs:     make(map[ids.RMID]*live.RMServer),
+		nodes:      make(map[ids.RMID]*rm.RM),
+		disks:      make(map[ids.RMID]*vdisk.Disk),
+		mmMet:      mm.NewMetrics(reg),
+		smMet:      live.NewShardMapperMetrics(reg),
 	}
 	for i := 0; i < n; i++ {
 		sc.bootShard(t, i, "")
@@ -489,5 +508,79 @@ func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	}
 	if sc.mmMet.HandoffTakeover.Value() == 0 {
 		t.Fatal("no takeover handoff ran during the lease window")
+	}
+}
+
+// TestShardChaosFullOwnerSetDeadHealsFromTakeoverCopy is the TCP twin of
+// mm's TestReplicatedFullOwnerSetDead: with R = 2 of 4, both owners of a
+// file die one after the other, so after the first death's takeover the
+// only live copy of their shared keyspace sits on a non-owner. Restarting
+// the first owner as an empty process must heal that keyspace into it
+// from the takeover copy.
+func TestShardChaosFullOwnerSetDeadHealsFromTakeoverCopy(t *testing.T) {
+	sc := startShardCluster(t, 4, 2, nil, nil)
+	defer sc.shutdown()
+	files := make([]ids.FileID, 120)
+	for i := range files {
+		files[i] = ids.FileID(i)
+	}
+	info := ecnp.RMInfo{ID: 1, Capacity: units.Mbps(100), StorageBytes: units.GB}
+	if err := sc.mapper.RegisterRM(info, files); err != nil {
+		t.Fatal(err)
+	}
+	owners := sc.ring.SuccessorsOfFile(int64(files[0]), 2)
+	a, b := owners[0], owners[1]
+	// shared holds the files whose whole owner set is {a, b}.
+	var shared []ids.FileID
+	for _, f := range files {
+		o := sc.ring.SuccessorsOfFile(int64(f), 2)
+		if (o[0] == a && o[1] == b) || (o[0] == b && o[1] == a) {
+			shared = append(shared, f)
+		}
+	}
+	// heldBeyond reports whether a live member outside {a, b} holds f.
+	heldBeyond := func(f ids.FileID) bool {
+		for i, s := range sc.shards {
+			if i != a && i != b && len(s.Local().Lookup(f)) == 1 {
+				return true
+			}
+		}
+		return false
+	}
+
+	sc.killShard(a)
+	waitFor(t, "takeover copies of the shared keyspace", func() bool {
+		for _, f := range shared {
+			if !heldBeyond(f) {
+				return false
+			}
+		}
+		return true
+	})
+	sc.killShard(b)
+	for i, s := range sc.shards {
+		if i == a || i == b {
+			continue
+		}
+		sh := s
+		waitFor(t, fmt.Sprintf("shard %d latches %d dead", i, b), func() bool {
+			return !sh.Health().Alive(b)
+		})
+	}
+	if hs := sc.mapper.Lookup(files[0]); len(hs) != 0 {
+		t.Fatalf("Lookup with whole owner set dead = %v, want empty", hs)
+	}
+
+	sc.reviveShard(t, a)
+	waitFor(t, "heal from the takeover copy", func() bool {
+		for _, f := range shared {
+			if len(sc.shards[a].Local().Lookup(f)) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	if hs := sc.mapper.Lookup(files[0]); len(hs) != 1 || hs[0] != 1 {
+		t.Fatalf("Lookup after revival = %v, want [1]", hs)
 	}
 }

@@ -26,6 +26,7 @@ import (
 // tolerate unreachable members as long as one accepts, so a dead shard
 // cannot wedge the RM heartbeat loop.
 type ShardMapper struct {
+	mapperStub
 	ring    *mm.Ring
 	rep     int
 	clients []*MMClient
@@ -49,13 +50,8 @@ func DialShardMapper(addrs []string, rep int, cfg transport.Config) (*ShardMappe
 		// lookups walk the successor set, so one live member suffices.
 		clients[i] = NewMMClient(addr, cfg)
 	}
-	if rep < 1 {
-		rep = 1
-	}
-	if rep > len(addrs) {
-		rep = len(addrs)
-	}
-	return &ShardMapper{
+	rep = min(max(rep, 1), len(addrs))
+	m := &ShardMapper{
 		ring:    mm.NewRing(len(addrs)),
 		rep:     rep,
 		clients: clients,
@@ -63,7 +59,14 @@ func DialShardMapper(addrs []string, rep int, cfg transport.Config) (*ShardMappe
 		src:     rng.New(1),
 		met:     NewShardMapperMetrics(nil),
 		logf:    func(string, ...any) {},
-	}, nil
+	}
+	m.mapperStub = mapperStub{
+		file:  m.callFile,
+		fan:   m.fanAll,
+		first: m.callFirst,
+		log:   func(format string, args ...any) { m.log()(format, args...) },
+	}
+	return m, nil
 }
 
 // SetRetryPolicy tunes the successor-retry backoff base and the jitter
@@ -108,9 +111,6 @@ func (m *ShardMapper) Close() error {
 	}
 	return first
 }
-
-// NumShards returns the group size.
-func (m *ShardMapper) NumShards() int { return len(m.clients) }
 
 func (m *ShardMapper) metrics() *ShardMapperMetrics {
 	m.mu.Lock()
@@ -185,114 +185,20 @@ func (m *ShardMapper) fanAll(kind wire.Kind, payload any) error {
 	return nil
 }
 
-// RegisterRM implements ecnp.Mapper: fan to every shard with the full
-// file list (each member keeps the slice it owns).
-func (m *ShardMapper) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
-	return m.fanAll(wire.KindRegisterRM, wire.RegisterRM{Info: info, Files: files})
-}
-
-// Heartbeat beacons an RM's liveness to every reachable shard. A remote
-// error (unknown RM somewhere) surfaces so the heartbeat loop
-// re-registers, which also repopulates a freshly-restarted shard.
-func (m *ShardMapper) Heartbeat(id ids.RMID) error {
-	return m.fanAll(wire.KindHeartbeat, wire.Heartbeat{RM: id})
-}
-
-// Lookup implements ecnp.Mapper.
-func (m *ShardMapper) Lookup(file ids.FileID) []ids.RMID {
-	return m.LookupContext(context.Background(), file)
-}
-
-// LookupContext is Lookup under a caller context (trace spans ride the
-// frame to whichever owner shard answers).
-func (m *ShardMapper) LookupContext(ctx context.Context, file ids.FileID) []ids.RMID {
-	holders, err := m.LookupErrContext(ctx, file)
-	if err != nil {
-		m.log()("live: shard lookup: %v", err)
-	}
-	return holders
-}
-
-// LookupErrContext surfaces the transport failure to dfsc's typed lookup
-// error path after the successor walk is exhausted.
-func (m *ShardMapper) LookupErrContext(ctx context.Context, file ids.FileID) ([]ids.RMID, error) {
-	reply, err := m.callFile(ctx, file, wire.KindLookup, wire.FileRef{File: file})
-	if err != nil {
-		return nil, err
-	}
-	if l, ok := reply.Payload.(wire.RMList); ok {
-		return l.RMs, nil
-	}
-	return nil, fmt.Errorf("live: shard lookup: unexpected reply %v", reply.Kind)
-}
-
-// RMsWithout implements ecnp.Mapper.
-func (m *ShardMapper) RMsWithout(file ids.FileID) []ids.RMID {
-	reply, err := m.callFile(context.Background(), file, wire.KindRMsWithout, wire.FileRef{File: file})
-	if err != nil {
-		m.log()("live: shard rms-without: %v", err)
-		return nil
-	}
-	if l, ok := reply.Payload.(wire.RMList); ok {
-		return l.RMs
-	}
-	return nil
-}
-
-// AddReplica implements ecnp.Mapper (the serving owner mirrors onward).
-func (m *ShardMapper) AddReplica(file ids.FileID, rm ids.RMID) error {
-	_, err := m.callFile(context.Background(), file, wire.KindAddReplica, wire.ReplicaRef{File: file, RM: rm})
-	return err
-}
-
-// RemoveReplica implements ecnp.Mapper.
-func (m *ShardMapper) RemoveReplica(file ids.FileID, rm ids.RMID) error {
-	_, err := m.callFile(context.Background(), file, wire.KindRemoveReplica, wire.ReplicaRef{File: file, RM: rm})
-	return err
-}
-
-// BeginReplication implements ecnp.Mapper.
-func (m *ShardMapper) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
-	_, err := m.callFile(context.Background(), file, wire.KindBeginReplication,
-		wire.BeginReplication{File: file, RM: rm, MaxTotal: maxTotal})
-	return err
-}
-
-// EndReplication implements ecnp.Mapper.
-func (m *ShardMapper) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
-	_, err := m.callFile(context.Background(), file, wire.KindEndReplication,
-		wire.EndReplication{File: file, RM: rm, Commit: commit})
-	return err
-}
-
-// ReplicaCount implements ecnp.Mapper.
-func (m *ShardMapper) ReplicaCount(file ids.FileID) int {
-	reply, err := m.callFile(context.Background(), file, wire.KindReplicaCount, wire.FileRef{File: file})
-	if err != nil {
-		m.log()("live: shard replica-count: %v", err)
-		return 0
-	}
-	if n, ok := reply.Payload.(wire.Count); ok {
-		return n.N
-	}
-	return 0
-}
-
-// RMs implements ecnp.Mapper: the resource list replicates everywhere,
-// so the first shard that answers is canonical (index order, skipping
-// unreachable members).
-func (m *ShardMapper) RMs() []ecnp.RMInfo {
+// callFirst sends a group-wide query to each shard in index order until
+// one answers: the resource list replicates everywhere, so the first
+// reachable member is canonical.
+func (m *ShardMapper) callFirst(kind wire.Kind, payload any) (wire.Msg, error) {
+	var lastErr error
 	for i, c := range m.clients {
-		reply, err := c.t.Call(context.Background(), wire.KindRMs, nil)
-		if err != nil {
-			m.log()("live: shard %d rms: %v", i, err)
-			continue
+		reply, err := c.t.Call(context.Background(), kind, payload)
+		if err == nil {
+			return reply, nil
 		}
-		if l, ok := reply.Payload.(wire.RMInfoList); ok {
-			return l.Infos
-		}
+		m.log()("live: shard %d %v: %v", i, kind, err)
+		lastErr = err
 	}
-	return nil
+	return wire.Msg{}, lastErr
 }
 
 // ShardMapperMetrics instruments the client's successor failover:

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 
 	"dfsqos/internal/ids"
@@ -33,7 +34,7 @@ func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 		}
 		// Non-owners hold nothing: replication is R-way, not broadcast.
 		for s := 0; s < m.NumShards(); s++ {
-			if !containsShard(owners, s) && len(m.Shard(s).Lookup(f)) != 0 {
+			if !slices.Contains(owners, s) && len(m.Shard(s).Lookup(f)) != 0 {
 				t.Fatalf("non-owner shard %d holds %v", s, f)
 			}
 		}
@@ -94,7 +95,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	// owner set lost the victim, so R live replicas survive.
 	for _, f := range files {
 		owners := m.ownersOf(f)
-		if !containsShard(owners, victim) {
+		if !slices.Contains(owners, victim) {
 			continue
 		}
 		liveCopies := 0
@@ -137,7 +138,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 		t.Fatalf("revived shard sees %v for %v, want the missed write too", hs, files[0])
 	}
 	for _, f := range files {
-		if !containsShard(m.ownersOf(f), victim) {
+		if !slices.Contains(m.ownersOf(f), victim) {
 			continue
 		}
 		if len(m.Shard(victim).Lookup(f)) == 0 {

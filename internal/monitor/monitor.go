@@ -124,9 +124,9 @@ type MMRMEntry struct {
 }
 
 // livenessSource is the optional liveness surface of a mapper.
-// mm.Manager and mm.ShardedManager implement it; the thin MMClient stub
-// and liveness-free mappers do not, and degrade to the plain resource
-// list.
+// mm.Manager and the in-process mm.ShardedManager implement it; a TCP
+// shard-group member (live.MMShard), the thin MMClient stub and
+// liveness-free mappers do not, and degrade to the plain resource list.
 type livenessSource interface {
 	AllRMs() []ecnp.RMInfo
 	Alive(id ids.RMID) bool
