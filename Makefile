@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzChecksumEquivalence$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzControlRoundTrip$$' -fuzztime $(FUZZ_TIME)
 
 # gobonly builds the wire package with the binary fast path compiled out
 # (the interop escape hatch) and proves both that the build still passes

@@ -3,9 +3,11 @@ package live
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"dfsqos/internal/dfsc"
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/replication"
@@ -16,12 +18,13 @@ import (
 )
 
 // TestLiveMixedCodecStreams runs the full negotiation + data-plane flow
-// over real TCP and asserts the codec split end to end: control frames
-// (CFP, Open, lookups) travel as gob, data chunks as binary fast path —
-// on the same pooled connections — and the transferred bytes verify. Then
-// the whole cluster is re-exercised with connections pinned to gob (the
-// legacy-peer interop mode): the identical stream must still verify, with
-// the gob frame counters advancing instead.
+// over real TCP and asserts the codec split end to end: in the default
+// build the control plane (lookups, CFP, Bid, Open, Close) and the data
+// chunks all travel as binary frames and no gob frame moves, and the
+// transferred bytes verify. Then a client whose connections are pinned to
+// gob (the legacy-peer interop mode) negotiates and streams against the
+// same fast-path servers: it must still be admitted and verify, with
+// gob frames moving in both directions.
 func TestLiveMixedCodecStreams(t *testing.T) {
 	lc := startLiveCluster(t,
 		[]units.BytesPerSec{units.Mbps(80), units.Mbps(80)},
@@ -64,22 +67,29 @@ func TestLiveMixedCodecStreams(t *testing.T) {
 		served.Close(out.Request)
 	}
 
-	// Round 1: default build — mixed codecs on the same connections.
+	// Round 1: default build — every frame of the read is binary.
 	txB0, txG0, rxB0, rxG0 := wire.CodecStats()
 	stream("fastpath")
 	txB1, txG1, rxB1, rxG1 := wire.CodecStats()
 	if rxB1 <= rxB0 || txB1 <= txB0 {
 		t.Errorf("fast path moved no binary frames: tx %d→%d rx %d→%d", txB0, txB1, rxB0, rxB1)
 	}
-	if rxG1 <= rxG0 || txG1 <= txG0 {
-		t.Errorf("control plane moved no gob frames: tx %d→%d rx %d→%d", txG0, txG1, rxG0, rxG1)
+	if txG1 != txG0 || rxG1 != rxG0 {
+		t.Errorf("default control plane moved gob frames: tx %d→%d rx %d→%d", txG0, txG1, rxG0, rxG1)
 	}
 
 	// Round 2: pin every NEW connection to gob, the shape of a legacy peer
-	// on both ends. A fresh client to the same cluster must still stream
-	// and verify — no fast-path dependence anywhere in the data plane.
+	// on the client side. A fresh mapper and RM client must negotiate
+	// (lookup, CFP/Bid, Open/OpenResult, Close) and stream against the
+	// fast-path servers — no fast-path dependence anywhere — and the
+	// servers must answer the gob requests in kind.
 	prev := wire.SetDefaultFastPath(false)
 	defer wire.SetDefaultFastPath(prev)
+	gobMM, err := DialMM(lc.mmSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gobMM.Close()
 	served, ok := lc.dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 not reachable")
@@ -90,17 +100,30 @@ func TestLiveMixedCodecStreams(t *testing.T) {
 	}
 	defer gobCli.Disconnect()
 	_, txG2, _, rxG2 := wire.CodecStats()
+	if holders := gobMM.Lookup(1); !slices.Equal(holders, []ids.RMID{1}) {
+		t.Fatalf("gob-pinned lookup = %v, want [1]", holders)
+	}
+	f := lc.cat.File(1)
+	cfp := ecnp.CFP{Request: 9001, File: 1, Bitrate: f.Bitrate, DurationSec: f.DurationSec}
+	if bid := gobCli.HandleCFP(cfp); bid.RM != 1 || !bid.HasReplica {
+		t.Fatalf("gob-pinned bid = %+v", bid)
+	}
+	res := gobCli.Open(ecnp.OpenRequest{Request: 9001, File: 1, Bitrate: f.Bitrate, DurationSec: f.DurationSec})
+	if !res.OK {
+		t.Fatalf("gob-pinned open refused: %s", res.Reason)
+	}
 	var buf bytes.Buffer
 	n, err := gobCli.ReadFile(1, &buf)
 	if err != nil {
 		t.Fatalf("gob-pinned stream: %v", err)
 	}
-	if n != int64(lc.cat.File(1).Size) {
-		t.Fatalf("gob-pinned stream: %d bytes, want %d", n, lc.cat.File(1).Size)
+	if n != int64(f.Size) {
+		t.Fatalf("gob-pinned stream: %d bytes, want %d", n, f.Size)
 	}
+	gobCli.Close(9001)
 	_, txG3, _, rxG3 := wire.CodecStats()
 	if txG3 <= txG2 || rxG3 <= rxG2 {
-		t.Errorf("gob-pinned stream moved no gob frames: tx %d→%d rx %d→%d", txG2, txG3, rxG2, rxG3)
+		t.Errorf("gob-pinned client moved no gob frames: tx %d→%d rx %d→%d", txG2, txG3, rxG2, rxG3)
 	}
 }
 

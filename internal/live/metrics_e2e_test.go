@@ -182,8 +182,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// Wire servers: request counters by kind.
 		`server="mm"`,
 		`server="rm"`,
-		// Wire codec split: control traffic moves as gob frames, data
-		// chunks on the binary fast path.
+		// Wire codec split: the gob and binary series are exposed
+		// whether or not a frame moved on them (only the shard-group
+		// kinds and gob-pinned peers send gob).
 		`dfsqos_wire_frames_total{dir="tx",codec="gob"}`,
 		`dfsqos_wire_frames_total{dir="rx",codec="gob"}`,
 		`dfsqos_wire_frames_total{dir="tx",codec="binary"}`,

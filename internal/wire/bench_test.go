@@ -6,7 +6,11 @@ import (
 	"net"
 	"testing"
 
+	"dfsqos/internal/ecnp"
+	"dfsqos/internal/ids"
+	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
+	"dfsqos/internal/units"
 )
 
 // discardRW is a ReadWriter that swallows writes (encode benchmarks).
@@ -324,4 +328,56 @@ func BenchmarkChecksum(b *testing.B) {
 		}
 		benchSink = sum
 	})
+}
+
+// BenchmarkControlRoundTrip measures one negotiation exchange through an
+// in-memory stream: the requester writes the request, the server reads
+// it and writes the reply, the requester reads the reply — four codec
+// passes, no network. The fast variants are gated at their measured
+// allocs/op (payload boxing and decoded slices only); the gob variants
+// are the per-frame-encoder baseline the binary layouts replaced.
+func BenchmarkControlRoundTrip(b *testing.B) {
+	exchanges := []struct {
+		name      string
+		reqKind   Kind
+		req       any
+		replyKind Kind
+		reply     any
+	}{
+		{"CFP_Bid", KindCFP, ecnp.CFP{Request: 1 << 40, File: 77, Bitrate: units.Mbps(2), DurationSec: 60, Tenant: 3},
+			KindBid, selection.Bid{RM: 4, Rem: units.Mbps(12), Trend: 0.5, OccBias: 0.3, Req: units.Mbps(2), HasReplica: true, Assured: units.Mbps(12), Ceil: units.Mbps(20)}},
+		{"Open_OpenResult", KindOpen, ecnp.OpenRequest{Request: 1 << 40, File: 77, Bitrate: units.Mbps(2), DurationSec: 60, Firm: true, Tenant: 3},
+			KindOpenResult, ecnp.OpenResult{OK: true}},
+		{"Lookup_RMList", KindLookup, FileRef{File: 4077},
+			KindRMList, RMList{RMs: []ids.RMID{3, 7, 11}}},
+	}
+	for _, ex := range exchanges {
+		for _, mode := range []struct {
+			name string
+			fast bool
+		}{{"fast", true}, {"gob", false}} {
+			b.Run(ex.name+"/"+mode.name, func(b *testing.B) {
+				var buf bytes.Buffer
+				c := NewConn(&buf)
+				c.SetFastPath(mode.fast)
+				c.SetAcceptBinary(true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Write(ex.reqKind, ex.req); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Read(); err != nil {
+						b.Fatal(err)
+					}
+					if err := c.Write(ex.replyKind, ex.reply); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Read(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

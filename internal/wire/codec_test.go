@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dfsqos/internal/ecnp"
+	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
 )
 
@@ -86,42 +87,63 @@ func TestFastPathFramesCarryBinaryTag(t *testing.T) {
 }
 
 func TestIneligibleKindsStayOnGob(t *testing.T) {
+	// The shard-group kinds have no binary layout: a fast-path
+	// connection must fall back to gob for them.
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	c.SetFastPath(true)
-	if err := c.Write(KindCFP, ecnp.CFP{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60}); err != nil {
+	if err := c.Write(KindShardMirror, ShardMirror{Op: "AddReplica", File: 2, RM: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("control frame went out as %v, want gob", got)
+		t.Fatalf("shard-group frame went out as %v, want gob", got)
 	}
 	if _, err := NewConn(&buf).Read(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// negotiationFrames is the ECNP round a DFSC drives against one RM —
+// CFP, Bid, Open — as the interop tests send it.
+var negotiationFrames = []struct {
+	kind    Kind
+	payload any
+}{
+	{KindCFP, ecnp.CFP{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60, Tenant: 3}},
+	{KindBid, selection.Bid{RM: 4, Rem: units.Mbps(-1), Trend: 0.5, OccBias: 0.25, Req: units.Mbps(2), HasReplica: true}},
+	{KindOpen, ecnp.OpenRequest{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60, Firm: true, Tenant: 3}},
+}
+
 func TestFastWriterRejectedByGobOnlyReader(t *testing.T) {
 	// Satellite interop contract: a fast-path writer talking to an
 	// endpoint that does not accept binary frames (a gobonly build) must
-	// fail with a typed *CodecError, not garbage or a panic.
+	// fail with a typed *CodecError, not garbage or a panic — for the
+	// data plane and for every negotiation frame alike.
 	var buf bytes.Buffer
 	w := NewConn(&buf)
 	w.SetFastPath(true)
 	if err := w.WriteChunk(0, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range negotiationFrames {
+		if err := w.Write(f.kind, f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 	r := NewConn(&buf)
 	r.SetAcceptBinary(false)
-	_, err := r.Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) {
-		t.Fatalf("rejection not a CodecError: %v", err)
-	}
-	if ce.Codec != CodecBinary {
-		t.Fatalf("rejected codec %v, want binary", ce.Codec)
-	}
-	if !strings.Contains(ce.Error(), "not accepted") {
-		t.Fatalf("unhelpful rejection: %q", ce.Error())
+	for i := 0; i <= len(negotiationFrames); i++ {
+		_, err := r.Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Fatalf("frame %d: rejection not a CodecError: %v", i, err)
+		}
+		if ce.Codec != CodecBinary {
+			t.Fatalf("frame %d: rejected codec %v, want binary", i, ce.Codec)
+		}
+		if !strings.Contains(ce.Error(), "not accepted") {
+			t.Fatalf("frame %d: unhelpful rejection: %q", i, ce.Error())
+		}
 	}
 }
 
@@ -138,6 +160,11 @@ func TestGobWriterReadByFastReader(t *testing.T) {
 	}
 	if err := w.Write(KindFileEnd, FileEnd{Size: 16, Checksum: 0xabc}); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range negotiationFrames {
+		if err := w.Write(f.kind, f.payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := Codec(buf.Bytes()[4]); got != CodecGob {
 		t.Fatalf("pinned writer emitted %v", got)
@@ -159,18 +186,27 @@ func TestGobWriterReadByFastReader(t *testing.T) {
 	if fe, ok := end.Payload.(FileEnd); !ok || fe.Checksum != 0xabc {
 		t.Fatalf("gob FileEnd mangled: %+v", end.Payload)
 	}
+	for _, f := range negotiationFrames {
+		msg, err := r.Read()
+		if err != nil {
+			t.Fatalf("%v: %v", f.kind, err)
+		}
+		if msg.Kind != f.kind || msg.Payload != f.payload {
+			t.Fatalf("gob %v mangled: %v %#v", f.kind, msg.Kind, msg.Payload)
+		}
+	}
 }
 
 func TestMixedCodecInterleave(t *testing.T) {
-	// Control frames (gob) and data frames (binary) interleaved on one
-	// stream must all decode: per-frame codec tags, no shared state, no
-	// decoder poisoning in either direction.
+	// Gob frames (shard-group control) and binary frames (negotiation and
+	// data) interleaved on one stream must all decode: per-frame codec
+	// tags, no shared state, no decoder poisoning in either direction.
 	var buf bytes.Buffer
 	w := NewConn(&buf)
 	w.SetFastPath(true)
 	chunk0 := []byte("first chunk")
 	chunk1 := []byte("second chunk")
-	if err := w.Write(KindCFP, ecnp.CFP{Request: 1, File: 2}); err != nil {
+	if err := w.Write(KindShardMirror, ShardMirror{Op: "AddReplica", File: 2, RM: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteChunk(0, chunk0); err != nil {
@@ -188,7 +224,7 @@ func TestMixedCodecInterleave(t *testing.T) {
 
 	r := NewConn(&buf)
 	r.SetAcceptBinary(true)
-	wantKinds := []Kind{KindCFP, KindFileChunk, KindOpen, KindFileChunk, KindFileEnd}
+	wantKinds := []Kind{KindShardMirror, KindFileChunk, KindOpen, KindFileChunk, KindFileEnd}
 	var got []byte
 	for i, want := range wantKinds {
 		msg, err := r.Read()
@@ -237,7 +273,7 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		{"ack with payload", binaryBody(KindAck, []byte{1}), KindAck},
 		{"heartbeat wrong len", binaryBody(KindHeartbeat, make([]byte, 5)), KindHeartbeat},
 		{"keepalive wrong len", binaryBody(KindKeepalive, make([]byte, 7)), KindKeepalive},
-		{"uncovered kind", binaryBody(KindCFP, nil), KindCFP},
+		{"uncovered kind", binaryBody(KindShardMirror, nil), KindShardMirror},
 		{"unknown kind", binaryBody(Kind(999), nil), Kind(999)},
 	}
 	for _, tc := range cases {
@@ -253,6 +289,23 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		}
 		if ce.Kind != tc.kind {
 			t.Errorf("%s: CodecError kind %v, want %v", tc.name, ce.Kind, tc.kind)
+		}
+	}
+	// Every promoted control kind, one byte short and one byte long, and
+	// counts the body cannot hold.
+	for _, mc := range malformedControlBodies(t) {
+		var buf bytes.Buffer
+		writeRawFrame(&buf, CodecBinary, mc.body)
+		r := NewConn(&buf)
+		r.SetAcceptBinary(true)
+		_, err := r.Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: not a CodecError: %v", mc.name, err)
+			continue
+		}
+		if ce.Kind != mc.kind || ce.Codec != CodecBinary {
+			t.Errorf("%s: CodecError %v/%v, want binary/%v", mc.name, ce.Codec, ce.Kind, mc.kind)
 		}
 	}
 }
@@ -309,7 +362,7 @@ func TestCodecStatsObserveBothPaths(t *testing.T) {
 	if err := w.WriteChunk(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(KindCFP, ecnp.CFP{}); err != nil {
+	if err := w.Write(KindShardMirror, ShardMirror{Op: "AddReplica"}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewConn(&buf)

@@ -3,7 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
+
+	"dfsqos/internal/ids"
+	"dfsqos/internal/trace"
 )
 
 // frameBytes assembles a complete frame for the seed corpus.
@@ -47,6 +52,16 @@ func FuzzRead(f *testing.F) {
 	f.Add(frameBytes(CodecBinaryTenant, append(make([]byte, tenantSize+traceSize),
 		binaryBody(KindFileChunk, append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...))...)))
 	f.Add(frameBytes(CodecBinaryTenant, append(make([]byte, tenantSize+traceSize), binaryBody(KindKeepalive, make([]byte, 8))...)))
+	// Every promoted control kind, plain and under the tenant slots.
+	for _, tc := range controlCases() {
+		body, ok := appendBinary(nil, tc.kind, tc.payload)
+		if !ok {
+			panic("control case not binary-encodable: " + tc.name)
+		}
+		f.Add(frameBytes(CodecBinary, body))
+		f.Add(frameBytes(CodecBinaryTenant, append(make([]byte, tenantSize+traceSize), body...)))
+	}
+	f.Add(frameBytes(CodecBinary, binaryBody(KindRMList, []byte{0, 0x10, 0, 0}))) // count past the body
 	// Two valid frames back to back (multi-frame streams).
 	f.Add(append(gobFrame(KindAck, Ack{}),
 		frameBytes(CodecBinary, binaryBody(KindKeepalive, make([]byte, 8)))...))
@@ -113,6 +128,44 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 			t.Fatalf("%d data bytes mangled", len(data))
 		}
 		msg.Release()
+	})
+}
+
+// FuzzControlRoundTrip decodes a raw payload under one of the promoted
+// control kinds. Decoding must either fail with a typed *CodecError or
+// return a payload that re-encodes to exactly the same bytes (the
+// layouts are canonical: bit-exact floats, 0/1 bools, counted slices),
+// and that a gob peer receives equal to the binary decode.
+func FuzzControlRoundTrip(f *testing.F) {
+	for _, tc := range controlCases() {
+		body, _ := appendBinary(nil, tc.kind, tc.payload)
+		f.Add(uint8(slices.Index(promotedKinds, tc.kind)), body[kindSize:])
+	}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(9), []byte{0, 0x10, 0, 0, 1, 2, 3, 4})
+
+	f.Fuzz(func(t *testing.T, kindIdx uint8, raw []byte) {
+		kind := promotedKinds[int(kindIdx)%len(promotedKinds)]
+		body := binaryBody(kind, raw)
+		msg, _, err := decodeBinary(CodecBinary, body, nil)
+		if err != nil {
+			var ce *CodecError
+			if !errors.As(err, &ce) || ce.Kind != kind {
+				t.Fatalf("%v: untyped or misattributed error %v", kind, err)
+			}
+			return
+		}
+		again, ok := appendBinary(nil, kind, msg.Payload)
+		if !ok {
+			t.Fatalf("%v: decoded %T does not re-encode", kind, msg.Payload)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("%v: % x re-encoded as % x", kind, body, again)
+		}
+		viaGob, _ := sendControl(t, false, trace.SpanContext{}, ids.NoneTenant, kind, msg.Payload)
+		if !equalPayload(viaGob.Payload, msg.Payload, false) {
+			t.Fatalf("%v: gob %#v, binary %#v", kind, viaGob.Payload, msg.Payload)
+		}
 	})
 }
 

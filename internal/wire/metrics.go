@@ -39,6 +39,17 @@ func newCodecCounters(reg *telemetry.Registry) *codecCounters {
 	}
 }
 
+// tx returns the transmit counter of a binary codec tag.
+func (m *codecCounters) tx(c Codec) *telemetry.Counter {
+	switch c {
+	case CodecBinaryTraced:
+		return m.txTraced
+	case CodecBinaryTenant:
+		return m.txTenant
+	}
+	return m.txBinary
+}
+
 // RegisterCodecMetrics exposes the fast-path/gob frame split on reg as
 // dfsqos_wire_frames_total{dir,codec}, making the codec mix observable at
 // /metrics. Counts accumulated before registration are not carried over,

@@ -168,8 +168,11 @@ func TestGobFramesCarryTenant(t *testing.T) {
 	// Gob-ineligible kinds on a fast-path conn fall back to gob and must
 	// still carry the tenant.
 	c.SetFastPath(true)
-	if err := c.Write(KindCount, Count{N: 4}); err != nil {
+	if err := c.Write(KindShardBeat, ShardBeat{Shard: 4}); err != nil {
 		t.Fatal(err)
+	}
+	if got := Codec(buf.Bytes()[4]); got != CodecGob {
+		t.Fatalf("fallback frame codec = %v, want gob", got)
 	}
 	msg, err = c.Read()
 	if err != nil {

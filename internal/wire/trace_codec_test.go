@@ -86,12 +86,13 @@ func TestWriteChunkTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteTracedGobEnvelope covers the kinds the binary codec does not:
-// the span context rides the gob envelope's Trace field.
+// TestWriteTracedGobEnvelope covers the kinds the binary codec does not
+// (the shard-group kinds): the span context rides the gob envelope's
+// Trace field.
 func TestWriteTracedGobEnvelope(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	if err := c.WriteTraced(testTC, KindLookup, FileRef{File: 12}); err != nil {
+	if err := c.WriteTraced(testTC, KindShardMirror, ShardMirror{Op: "RemoveReplica", File: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if got := Codec(buf.Bytes()[4]); got != CodecGob {
@@ -104,7 +105,7 @@ func TestWriteTracedGobEnvelope(t *testing.T) {
 	if msg.Trace != testTC {
 		t.Fatalf("trace = %+v, want %+v", msg.Trace, testTC)
 	}
-	if ref, ok := msg.Payload.(FileRef); !ok || ref.File != 12 {
+	if m, ok := msg.Payload.(ShardMirror); !ok || m.File != 12 || m.Op != "RemoveReplica" {
 		t.Fatalf("payload mangled: %#v", msg.Payload)
 	}
 }
@@ -166,10 +167,10 @@ func TestMixedTracedUntracedInterleave(t *testing.T) {
 	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{Size: 2}); err != nil { // traced binary
 		t.Fatal(err)
 	}
-	if err := c.Write(KindLookup, FileRef{File: 3}); err != nil { // gob
+	if err := c.Write(KindShardMirror, ShardMirror{File: 3}); err != nil { // gob
 		t.Fatal(err)
 	}
-	if err := c.WriteTraced(testTC, KindLookup, FileRef{File: 4}); err != nil { // traced gob
+	if err := c.WriteTraced(testTC, KindShardMirror, ShardMirror{File: 4}); err != nil { // traced gob
 		t.Fatal(err)
 	}
 	if err := c.WriteChunkTraced(testTC, 5, []byte("x")); err != nil { // traced chunk
@@ -220,6 +221,34 @@ func TestTracedFrameShortTraceSlotRejected(t *testing.T) {
 	var ce *CodecError
 	if !errors.As(err, &ce) || ce.Codec != CodecBinaryTraced {
 		t.Fatalf("short trace slot: err = %v, want CodecError{binary-traced}", err)
+	}
+}
+
+// TestSlottedFrameErrorsNameTheirCodec: a tag-2 or tag-3 frame whose
+// slots are intact but whose binary-v1 body is malformed, or names a
+// kind the binary codec does not cover, must report the tag it arrived
+// under, not plain binary.
+func TestSlottedFrameErrorsNameTheirCodec(t *testing.T) {
+	for _, tc := range []struct {
+		codec Codec
+		slots int
+	}{{CodecBinaryTraced, traceSize}, {CodecBinaryTenant, tenantSize + traceSize}} {
+		for name, body := range map[string][]byte{
+			"short body":    {1},
+			"short payload": binaryBody(KindCFP, make([]byte, 7)),
+			"uncovered":     binaryBody(KindShardMirror, nil),
+		} {
+			var buf bytes.Buffer
+			writeRawFrame(&buf, tc.codec, append(make([]byte, tc.slots), body...))
+			_, err := NewConn(&buf).Read()
+			var ce *CodecError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%v %s: err = %v, want CodecError", tc.codec, name, err)
+			}
+			if ce.Codec != tc.codec {
+				t.Errorf("%v %s: CodecError reports %v", tc.codec, name, ce.Codec)
+			}
+		}
 	}
 }
 

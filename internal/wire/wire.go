@@ -1,15 +1,15 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
 // body. The tag selects how the body is encoded — gob (tag 0, every
-// kind), the hand-rolled binary fast path (tag 1, the data-plane and
-// other high-frequency kinds), traced binary (tag 2, binary v1 with a
-// 16-byte request-trace slot), or tenant binary (tag 3, binary v1 with a
-// 4-byte tenant slot ahead of the trace slot; see codec.go). Frames are
-// independent
-// (stateless codec per frame), so a connection can be taken over after
-// any message boundary, a corrupted frame cannot poison decoder state,
-// and the codecs interleave freely on one connection. A frame-size cap
-// bounds memory against malformed peers.
+// kind), the hand-rolled binary fast path (tag 1, every kind except the
+// three shard-group kinds, which stay on gob), traced binary (tag 2,
+// binary v1 with a 16-byte request-trace slot), or tenant binary (tag 3,
+// binary v1 with a 4-byte tenant slot ahead of the trace slot; see
+// codec.go). Frames are independent (stateless codec per frame), so a
+// connection can be taken over after any message boundary, a corrupted
+// frame cannot poison decoder state, and the codecs interleave freely on
+// one connection. A frame-size cap bounds memory against malformed
+// peers.
 package wire
 
 import (
@@ -74,9 +74,9 @@ const (
 	// Liveness (RM → MM) and reservation-lease keepalive (DFSC → RM).
 	KindHeartbeat
 	KindKeepalive
-	// Shard-group control plane (MM shard → MM shard). All three ride the
-	// gob codec: they are low-frequency control traffic, never the hot
-	// path.
+	// Shard-group control plane (MM shard → MM shard). These three are
+	// the only kinds without a binary layout: they ride gob, sent on
+	// membership changes and replica-map writes, never per read.
 	KindShardBeat
 	KindShardMirror
 	KindShardHandoff
@@ -575,57 +575,23 @@ func (c *Conn) armWriteDeadlineLocked() {
 	}
 }
 
-// Write sends one message. Eligible kinds (the data plane and other
-// high-frequency messages) go out on the binary fast path unless the
+// Write sends one message. Every kind with a binary layout (all but the
+// shard-group kinds) goes out on the binary fast path unless the
 // connection is pinned to gob; everything else uses the stateless
 // per-frame gob codec. Either way the frame leaves as a single write —
 // header and body are assembled in one pooled buffer (chunks: one writev
 // via WriteChunk) — so a frame costs one syscall, not two.
 func (c *Conn) Write(kind Kind, payload any) error {
-	if c.fastWrite.Load() {
-		if kind == KindFileChunk {
-			switch p := payload.(type) {
-			case FileChunk:
-				return c.WriteChunk(p.Offset, p.Data)
-			case *FileChunk:
-				return c.WriteChunk(p.Offset, p.Data)
-			}
-		} else if t := c.tenantID(); t.Valid() {
-			return c.writeTenantFrame(t, trace.SpanContext{}, kind, payload)
-		} else {
-			bp := getBuf(64)
-			b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinary))
-			if b2, ok := appendBinary(b, kind, payload); ok {
-				*bp = b2
-				n := len(b2) - headerSize
-				if n > MaxFrame {
-					putBuf(bp)
-					return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-				}
-				binary.BigEndian.PutUint32(b2[:4], uint32(n))
-				err := c.writeFrame(b2, kind)
-				putBuf(bp)
-				if err == nil {
-					codecMet.Load().txBinary.Inc()
-				}
-				return err
-			}
-			putBuf(bp)
-		}
-	}
-	return c.writeGob(kind, payload)
+	return c.WriteTraced(trace.SpanContext{}, kind, payload)
 }
 
 // WriteTraced is Write carrying the span context tc on the frame, so the
-// receiving server can join the sender's trace. A zero tc degrades to the
-// untraced Write. Fast-path-eligible kinds go out as traced binary frames
-// (codec tag 2, same pooled single-write discipline — zero allocations);
-// everything else rides the gob envelope's Trace field. Chunks route
-// through WriteChunkTraced.
+// receiving server can join the sender's trace. A zero tc is exactly
+// Write. Kinds with a binary layout go out as traced binary frames
+// (codec tag 2, or tag 3 on a tenant-stamped connection; same pooled
+// single-write discipline); everything else rides the gob envelope's
+// Trace field. Chunks route through WriteChunkTraced.
 func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
-	if !tc.Valid() {
-		return c.Write(kind, payload)
-	}
 	if c.fastWrite.Load() {
 		if kind == KindFileChunk {
 			switch p := payload.(type) {
@@ -634,62 +600,56 @@ func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
 			case *FileChunk:
 				return c.WriteChunkTraced(tc, p.Offset, p.Data)
 			}
-		} else if t := c.tenantID(); t.Valid() {
-			return c.writeTenantFrame(t, tc, kind, payload)
-		} else {
-			bp := getBuf(96)
-			b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinaryTraced))
-			b = binary.BigEndian.AppendUint64(b, uint64(int64(tc.Trace)))
-			b = binary.BigEndian.AppendUint64(b, tc.Span)
-			if b2, ok := appendBinary(b, kind, payload); ok {
-				*bp = b2
-				n := len(b2) - headerSize
-				if n > MaxFrame {
-					putBuf(bp)
-					return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-				}
-				binary.BigEndian.PutUint32(b2[:4], uint32(n))
-				err := c.writeFrame(b2, kind)
-				putBuf(bp)
-				if err == nil {
-					codecMet.Load().txTraced.Inc()
-				}
-				return err
-			}
-			putBuf(bp)
+		} else if sent, err := c.writeBinary(tc, kind, payload); sent {
+			return err
 		}
 	}
 	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
 }
 
-// writeTenantFrame sends one tag-3 frame: the tenant slot, the trace
-// slot (zero when untraced), then the binary-v1 body. Kinds the binary
-// codec does not cover fall back to the gob envelope (writeGobMsg stamps
-// the tenant there). Chunks never reach here — WriteChunk and
-// WriteChunkTraced route them to writeChunkTenant.
-func (c *Conn) writeTenantFrame(t ids.TenantID, tc trace.SpanContext, kind Kind, payload any) error {
-	bp := getBuf(96)
-	b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinaryTenant))
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(t)))
-	b = binary.BigEndian.AppendUint64(b, uint64(int64(tc.Trace)))
-	b = binary.BigEndian.AppendUint64(b, tc.Span)
-	if b2, ok := appendBinary(b, kind, payload); ok {
-		*bp = b2
-		n := len(b2) - headerSize
-		if n > MaxFrame {
-			putBuf(bp)
-			return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-		}
-		binary.BigEndian.PutUint32(b2[:4], uint32(n))
-		err := c.writeFrame(b2, kind)
-		putBuf(bp)
-		if err == nil {
-			codecMet.Load().txTenant.Inc()
-		}
-		return err
+// writeBinary frames (kind, payload) as one binary frame in a pooled
+// buffer and sends it as a single write. The codec follows the
+// connection and the span context: tag 3 (tenant slot, then the trace
+// slot, zero when untraced) on a tenant-stamped connection, else tag 2
+// when tc is valid, else tag 1. It reports false, sending nothing, when
+// the pair has no binary layout. Chunks never reach here — WriteChunk
+// and WriteChunkTraced frame them with a single writev.
+func (c *Conn) writeBinary(tc trace.SpanContext, kind Kind, payload any) (sent bool, err error) {
+	codec, t := CodecBinary, c.tenantID()
+	switch {
+	case t.Valid():
+		codec = CodecBinaryTenant
+	case tc.Valid():
+		codec = CodecBinaryTraced
 	}
+	bp := getBuf(96)
+	b := append((*bp)[:0], 0, 0, 0, 0, byte(codec))
+	switch codec {
+	case CodecBinaryTenant:
+		b = put32(b, uint32(t))
+		fallthrough
+	case CodecBinaryTraced:
+		b = put64(b, uint64(tc.Trace))
+		b = put64(b, tc.Span)
+	}
+	b, ok := appendBinary(b, kind, payload)
+	*bp = b // adopt the (possibly regrown) backing array for the pool
+	if !ok {
+		putBuf(bp)
+		return false, nil
+	}
+	n := len(b) - headerSize
+	if n > MaxFrame {
+		putBuf(bp)
+		return true, &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
+	}
+	binary.BigEndian.PutUint32(b[:4], uint32(n))
+	err = c.writeFrame(b, kind)
 	putBuf(bp)
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
+	if err == nil {
+		codecMet.Load().tx(codec).Inc()
+	}
+	return true, err
 }
 
 // writeGob sends one gob-framed message: the 5-byte header placeholder
@@ -817,7 +777,7 @@ func (c *Conn) Read() (Msg, error) {
 			putBuf(bp)
 			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
 		}
-		msg, retained, err := decodeBinary(body, bp)
+		msg, retained, err := decodeBinary(codec, body, bp)
 		if !retained {
 			putBuf(bp)
 		}
@@ -839,7 +799,7 @@ func (c *Conn) Read() (Msg, error) {
 			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[:8]))),
 			Span:  binary.BigEndian.Uint64(body[8:16]),
 		}
-		msg, retained, err := decodeBinary(body[traceSize:], bp)
+		msg, retained, err := decodeBinary(codec, body[traceSize:], bp)
 		if !retained {
 			putBuf(bp)
 		}
@@ -863,7 +823,7 @@ func (c *Conn) Read() (Msg, error) {
 			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[tenantSize : tenantSize+8]))),
 			Span:  binary.BigEndian.Uint64(body[tenantSize+8 : tenantSize+16]),
 		}
-		msg, retained, err := decodeBinary(body[tenantSize+traceSize:], bp)
+		msg, retained, err := decodeBinary(codec, body[tenantSize+traceSize:], bp)
 		if !retained {
 			putBuf(bp)
 		}

@@ -2,13 +2,16 @@
 # bench.sh — reproducible data-plane benchmark run.
 #
 # Runs the wire codec benchmarks and the live-TCP streaming benchmark,
-# parses the `go test -bench` output into BENCH_4.json, and enforces the
+# parses the `go test -bench` output into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: BenchmarkEncodeChunk/fast and
 # BenchmarkDecodeChunk/fast — and their trace-slot-carrying Traced
 # variants — must stay at (by default) 0 allocs/op. The zero-allocation
 # property is the point of the fast path, and a regression here is a
 # silent per-chunk cost on every data stream; gating the traced variants
 # proves request tracing never bought observability with allocations.
+# The binary control codec's negotiation exchanges
+# (BenchmarkControlRoundTrip/*/fast) are gated at their measured
+# allocs/op, which is payload boxing only.
 #
 # It also runs the striped-read scaling benchmark (K lanes over K
 # throttled replicas) and enforces the stripe-scaling floor: K4 must
@@ -45,7 +48,7 @@ trap 'rm -f "$RAW" "$RAW9"' EXIT
 
 echo "== wire codec benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/wire/ -run '^$' \
-	-bench 'BenchmarkEncodeChunk|BenchmarkDecodeChunk|BenchmarkRoundTrip|BenchmarkStreamThroughput|BenchmarkChecksum|BenchmarkEncodeRangedRead|BenchmarkDecodeRangedRead' \
+	-bench 'BenchmarkEncodeChunk|BenchmarkDecodeChunk|BenchmarkRoundTrip|BenchmarkStreamThroughput|BenchmarkChecksum|BenchmarkEncodeRangedRead|BenchmarkDecodeRangedRead|BenchmarkControlRoundTrip' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 echo "== live TCP streaming benchmarks (benchtime=$BENCH_TIME)"
@@ -83,25 +86,37 @@ END {
 echo "== wrote $OUT"
 cat "$OUT"
 
-# Alloc regression gate on the fast-path chunk and ranged-read codecs:
-# untraced, traced, and tenant-tagged.
+# Alloc regression gates. alloc_gate NAME CEILING fails the run when the
+# benchmark did not run or reports more than CEILING allocs/op.
 fail=0
+alloc_gate() {
+	# The -N GOMAXPROCS suffix is absent when GOMAXPROCS=1, so it is optional.
+	aop="$(awk -v b="$1" '$1 ~ "^"b"(-[0-9]+)?$" && $(NF) == "allocs/op" { print $(NF-1) }' "$RAW")"
+	if [ -z "$aop" ]; then
+		echo "GATE: $1 did not run" >&2
+		fail=1
+	elif [ "$aop" -gt "$2" ]; then
+		echo "GATE: $1 at $aop allocs/op exceeds ceiling $2" >&2
+		fail=1
+	else
+		echo "GATE: $1 at $aop allocs/op (ceiling $2) ok"
+	fi
+}
+
+# The fast-path chunk and ranged-read codecs: untraced, traced, and
+# tenant-tagged.
 for gated in "BenchmarkEncodeChunk/fast" "BenchmarkDecodeChunk/fast" \
 	"BenchmarkEncodeChunkTraced/fast" "BenchmarkDecodeChunkTraced/fast" \
 	"BenchmarkEncodeChunkTenant/fast" "BenchmarkDecodeChunkTenant/fast" \
 	"BenchmarkEncodeRangedRead/fast" "BenchmarkDecodeRangedRead/fast"; do
-	# The -N GOMAXPROCS suffix is absent when GOMAXPROCS=1, so it is optional.
-	aop="$(awk -v b="$gated" '$1 ~ "^"b"(-[0-9]+)?$" && $(NF) == "allocs/op" { print $(NF-1) }' "$RAW")"
-	if [ -z "$aop" ]; then
-		echo "GATE: $gated did not run" >&2
-		fail=1
-	elif [ "$aop" -gt "$ALLOC_CEILING" ]; then
-		echo "GATE: $gated at $aop allocs/op exceeds ceiling $ALLOC_CEILING" >&2
-		fail=1
-	else
-		echo "GATE: $gated at $aop allocs/op (ceiling $ALLOC_CEILING) ok"
-	fi
+	alloc_gate "$gated" "$ALLOC_CEILING"
 done
+
+# The binary control codec, at its measured cost: one boxed payload per
+# decoded frame (request and reply), plus the RMList's slice.
+alloc_gate "BenchmarkControlRoundTrip/CFP_Bid/fast" 2
+alloc_gate "BenchmarkControlRoundTrip/Open_OpenResult/fast" 2
+alloc_gate "BenchmarkControlRoundTrip/Lookup_RMList/fast" 3
 
 # Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
 stripe_mbs() {
