@@ -4,9 +4,12 @@
 // per lane, reusing the existing CFP fan-out), and lanes pull contiguous
 // ranges concurrently — each verified by a per-range checksum from the
 // serving RM — while the committer folds the completed buffers into the
-// writer in offset order, maintaining one whole-file FNV-1a sum (FNV is
-// a serial recurrence, so segment sums cannot be combined out of order:
-// the committer re-folds the bytes as it writes them).
+// writer in offset order, maintaining one whole-file checksum. The
+// committer re-folds the bytes as it writes them rather than combining
+// the lanes' range sums: at the checksum's ~8 GB/s that costs ~2 ms per
+// 16 MiB, which is cheaper in code than a CRC-combine. Segment buffers
+// come from a pool and go back once committed, so repeated reads reuse
+// them instead of allocating one per range.
 //
 // Failover is the degenerate behavior the old reader already had: a lane
 // dying requeues its unfinished range for the surviving lanes and
@@ -77,9 +80,15 @@ type stripeSeg struct {
 	hedged bool      // a hedge copy is (or was) racing the original
 }
 
+// segPool recycles segment buffers across ranges and reads. A lane takes
+// one per range; the committer returns it after w.Write (an io.Writer
+// must not retain p), and the lane itself returns it when its copy lost
+// a hedge race or its replica failed mid-range.
+var segPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // stripeDone is a completed segment buffer awaiting commit.
 type stripeDone struct {
-	data   []byte
+	buf    *bytes.Buffer
 	rm     ids.RMID
 	hedged bool // the committed copy came from the hedge
 }
@@ -187,8 +196,8 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 	}
 
 	// The caller's goroutine is the committer: it folds completed
-	// segments into w in offset order, maintaining the whole-file FNV
-	// state (serial recurrence — offset order is mandatory).
+	// segments into w in offset order, maintaining the whole-file
+	// checksum state (a running CRC — offset order is mandatory).
 	sum := wire.ChecksumBasis
 	st.mu.Lock()
 	for st.commit < st.numSegs {
@@ -198,16 +207,18 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 			st.commit++
 			off, _ := st.segRange(idx)
 			st.res.Segments = append(st.res.Segments, SegmentInfo{
-				Offset: off, Length: int64(len(d.data)), RM: d.rm, Hedged: d.hedged,
+				Offset: off, Length: int64(d.buf.Len()), RM: d.rm, Hedged: d.hedged,
 			})
-			st.res.Bytes += int64(len(d.data))
+			st.res.Bytes += int64(d.buf.Len())
 			st.cond.Broadcast() // the commit window advanced
 			st.mu.Unlock()
 			c.met.Segments.Inc()
 			c.mu.Lock()
 			c.stats.Segments++
 			c.mu.Unlock()
-			_, werr := w.Write(d.data)
+			_, werr := w.Write(d.buf.Bytes())
+			sum = wire.ChecksumUpdate(sum, d.buf.Bytes())
+			segPool.Put(d.buf)
 			st.mu.Lock()
 			if werr != nil && st.err == nil {
 				st.err = fmt.Errorf("dfsc: writing segment %d: %w", idx, werr)
@@ -216,7 +227,6 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 			if st.err != nil {
 				break
 			}
-			sum = wire.ChecksumUpdate(sum, d.data)
 			continue
 		}
 		if st.err != nil {
@@ -288,10 +298,11 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 		off, length := st.segRange(idx)
 		seg := c.tracer.StartChild(root.Context(), "dfsc.segment").
 			SetRM(ln.out.RM).SetFile(file).SetRequest(ln.out.Request).SetOffset(off)
-		var buf bytes.Buffer
+		buf := segPool.Get().(*bytes.Buffer)
+		buf.Reset()
 		buf.Grow(int(length))
 		segSum := wire.ChecksumBasis
-		n, err := rs.StreamRange(ctx, ln.out.RM, file, ln.out.Request, off, length, &buf, &segSum)
+		n, err := rs.StreamRange(ctx, ln.out.RM, file, ln.out.Request, off, length, buf, &segSum)
 		seg.SetBytes(n)
 
 		if err == nil {
@@ -300,8 +311,9 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 				// The other copy of a hedged segment won the race; this
 				// one is discarded (first-writer-wins).
 				seg.SetOutcome("hedge-lost")
+				segPool.Put(buf)
 			} else {
-				st.done[idx] = &stripeDone{data: buf.Bytes(), rm: ln.out.RM, hedged: hedge}
+				st.done[idx] = &stripeDone{buf: buf, rm: ln.out.RM, hedged: hedge}
 				delete(st.inflight, idx)
 				if hedge {
 					st.res.HedgesWon++
@@ -318,6 +330,7 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 			continue
 		}
 		seg.SetOutcome("failover").End()
+		segPool.Put(buf)
 
 		// The lane's replica failed mid-range. Return the segment to the
 		// board (unless a hedge already finished it, or this WAS the

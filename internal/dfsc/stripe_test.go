@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -153,11 +154,46 @@ func TestReadStripedZeroLengthFile(t *testing.T) {
 		t.Fatalf("zero-length read touched the data plane: res=%+v calls=%v", res, s.calls)
 	}
 	if res.Checksum != wire.ChecksumBasis {
-		t.Fatalf("res.Checksum = %x, want the FNV basis (empty fold)", res.Checksum)
+		t.Fatalf("res.Checksum = %x, want the basis (empty fold)", res.Checksum)
 	}
 	// No reservation was negotiated for zero bytes.
 	if st := c.Stats(); st.Requests != 0 {
 		t.Fatalf("stats.Requests = %d, want 0", st.Requests)
+	}
+}
+
+func TestReadStripedPoolsSegmentBuffers(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	const segBytes, segs = 64 << 10, 16
+	body := stripeBody(h, segBytes*segs)
+	s := &rangedStreamer{body: body}
+	read := func() {
+		t.Helper()
+		res, err := c.ReadStriped(s, 0, io.Discard, StripeConfig{Width: 2, SegmentBytes: segBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := wire.ChecksumUpdate(wire.ChecksumBasis, body); res.Checksum != want || res.Bytes != int64(len(body)) {
+			t.Fatalf("res = %d bytes / %x, want %d / %x", res.Bytes, res.Checksum, len(body), want)
+		}
+	}
+	read() // fill the pool
+	// Segment buffers come back to the pool once committed, so repeated
+	// reads reuse them instead of allocating the file's size every time.
+	const reads = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	// Under -race the reads still run (the pool is shared by every lane
+	// and the committer) but the byte count is meaningless.
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; !raceEnabled && perRead > uint64(len(body))/4 {
+		t.Fatalf("a %d-byte striped read allocated %d bytes, want under a quarter of the file", len(body), perRead)
 	}
 }
 

@@ -486,9 +486,10 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 // streamFile sends the file from req.Offset as FileChunk frames followed
 // by FileEnd. A positive req.Length bounds the stream to the byte range
 // [Offset, Offset+Length) clamped at EOF; the FileEnd then reports the
-// absolute end position of the range and an FNV-1a checksum over only
-// the range bytes (folded per chunk as they leave — the whole-file path
-// keeps using the disk's memoized checksum and pays no per-chunk hash).
+// absolute end position of the range and a checksum (wire.ChecksumUpdate)
+// over only the range bytes, folded per chunk as they leave. The
+// whole-file path sends the disk's memoized checksum instead and pays no
+// per-chunk hash.
 // A non-zero req.Request names the QoS reservation the stream serves:
 // every chunk write touches its lease, so an active stream never expires
 // under the sweeper. Each chunk also passes the rm.stream.chunk fault
@@ -808,7 +809,7 @@ func (c *RMClient) ReadFile(file ids.FileID, w io.Writer) (int64, error) {
 // (trace.NewContext) rides the opening ReadFile frame, so the serving
 // RM's "rm.stream" span becomes a child of the caller's segment span. A
 // non-zero req names the QoS reservation the stream rides (the server
-// renews its lease per chunk). sum is the running FNV-1a state carried
+// renews its lease per chunk). sum is the running checksum state carried
 // across failover segments: the caller seeds it with wire.ChecksumBasis
 // before the first segment, and because resumed segments are
 // byte-contiguous with their predecessors, the whole-file checksum in the

@@ -18,6 +18,7 @@ import (
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
 
 // Disk is one RM's virtual block device.
@@ -292,10 +293,10 @@ func (d *Disk) WriteRaw(name string, data []byte) error {
 	return nil
 }
 
-// Checksum computes a cheap rolling checksum of the whole file without
-// throttling (integrity checks are not disk I/O). The result is memoized
-// per file — contents are immutable once created — so repeated streams of
-// the same file pay the full hash pass only once.
+// Checksum computes the data-plane checksum (wire.ChecksumUpdate) of the
+// whole file without throttling (integrity checks are not disk I/O). The
+// result is memoized per file — contents are immutable once created — so
+// repeated streams of the same file pay the full hash pass only once.
 func (d *Disk) Checksum(name string) (uint64, error) {
 	d.mu.RLock()
 	f, ok := d.files[name]
@@ -306,21 +307,18 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	if f.sumOK {
 		return f.sum, nil
 	}
-	var sum uint64 = 14695981039346656037
-	buf := make([]byte, 64*1024)
-	for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
-		n := int64(len(buf))
-		if rem := int64(f.size) - off; n > rem {
-			n = rem
-		}
-		if f.data != nil {
-			copy(buf[:n], f.data[off:off+n])
-		} else {
+	sum := wire.ChecksumBasis
+	if f.data != nil {
+		sum = wire.ChecksumUpdate(sum, f.data)
+	} else {
+		buf := make([]byte, 64*1024)
+		for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
+			n := int64(len(buf))
+			if rem := int64(f.size) - off; n > rem {
+				n = rem
+			}
 			fillSynthetic(buf[:n], f.seed, off)
-		}
-		for _, b := range buf[:n] {
-			sum ^= uint64(b)
-			sum *= 1099511628211
+			sum = wire.ChecksumUpdate(sum, buf[:n])
 		}
 	}
 	// Publish the memo. Racing fills compute identical values; the entry
@@ -332,17 +330,6 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	}
 	d.mu.Unlock()
 	return sum, nil
-}
-
-// ChecksumBytes computes the same rolling checksum over a byte slice, for
-// verifying transferred contents against Checksum.
-func ChecksumBytes(data []byte) uint64 {
-	var sum uint64 = 14695981039346656037
-	for _, b := range data {
-		sum ^= uint64(b)
-		sum *= 1099511628211
-	}
-	return sum
 }
 
 // seedOf hashes a file name into a content seed.

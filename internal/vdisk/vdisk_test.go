@@ -10,6 +10,7 @@ import (
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
 
 // fastController returns a controller whose sleeps are instantaneous but
@@ -191,7 +192,7 @@ func TestReaderStreamsWholeFile(t *testing.T) {
 		t.Fatalf("streamed %d bytes, want %d", len(data), size)
 	}
 	want, _ := d.Checksum("a")
-	if got := ChecksumBytes(data); got != want {
+	if got := wire.ChecksumUpdate(wire.ChecksumBasis, data); got != want {
 		t.Fatalf("checksum mismatch: %x vs %x", got, want)
 	}
 }

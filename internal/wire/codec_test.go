@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -381,27 +382,53 @@ func TestCodecStatsObserveBothPaths(t *testing.T) {
 	}
 }
 
+// checksumReference is the whole-buffer definition ChecksumUpdate must
+// match: CRC-32C in the high half, CRC-32 (IEEE) in the low half, each
+// computed in one call by the stdlib's one-shot entry points.
+func checksumReference(d []byte) uint64 {
+	return uint64(crc32.Checksum(d, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(d))
+}
+
+// checkChecksumSplits fails t unless ChecksumUpdate matches the reference
+// over data and, from the basis and from state, is invariant under a
+// split at every cut.
+func checkChecksumSplits(t *testing.T, data []byte, state uint64) {
+	t.Helper()
+	whole := ChecksumUpdate(ChecksumBasis, data)
+	if want := checksumReference(data); whole != want {
+		t.Fatalf("len %d: ChecksumUpdate %x != reference %x", len(data), whole, want)
+	}
+	fromState := ChecksumUpdate(state, data)
+	for cut := 0; cut <= len(data); cut++ {
+		if got := ChecksumUpdate(ChecksumUpdate(ChecksumBasis, data[:cut]), data[cut:]); got != whole {
+			t.Fatalf("len %d split at %d: %x != whole %x", len(data), cut, got, whole)
+		}
+		if got := ChecksumUpdate(ChecksumUpdate(state, data[:cut]), data[cut:]); got != fromState {
+			t.Fatalf("state %x len %d split at %d: %x != whole %x", state, len(data), cut, got, fromState)
+		}
+	}
+}
+
 func TestChecksumUnrolledMatchesScalar(t *testing.T) {
-	// The 8-way unrolled ChecksumUpdate must be bit-identical to the
-	// scalar FNV-1a definition at every length straddling the unroll
-	// boundary, and from arbitrary (non-basis) starting states.
-	data := make([]byte, 100)
+	// ChecksumUpdate must equal the whole-buffer CRC-32C‖CRC-32 reference
+	// at every length straddling the accelerated paths' block sizes, and
+	// stay split-invariant from the basis and from non-basis states.
+	data := make([]byte, 300)
 	for i := range data {
 		data[i] = byte(i*37 + 11)
 	}
 	for n := 0; n <= len(data); n++ {
-		if got, want := ChecksumUpdate(ChecksumBasis, data[:n]), checksumScalar(ChecksumBasis, data[:n]); got != want {
-			t.Fatalf("len %d: unrolled %x != scalar %x", n, got, want)
-		}
+		checkChecksumSplits(t, data[:n], 0x1234_5678_9abc_def0)
 	}
-	state := uint64(0x1234_5678_9abc_def0)
-	for _, n := range []int{7, 8, 9, 15, 16, 17, 63, 64, 65} {
-		if got, want := ChecksumUpdate(state, data[:n]), checksumScalar(state, data[:n]); got != want {
-			t.Fatalf("state %x len %d: unrolled %x != scalar %x", state, n, got, want)
+	// Golden vectors: the published CRC-32C (0xE3069283) and CRC-32
+	// (0xCBF43926) check values over "123456789", and the empty input.
+	for _, g := range []struct {
+		in   string
+		want uint64
+	}{{"123456789", 0xE3069283CBF43926}, {"", 0}} {
+		if got := ChecksumUpdate(ChecksumBasis, []byte(g.in)); got != g.want {
+			t.Fatalf("checksum(%q) = %#x, want %#x", g.in, got, g.want)
 		}
-	}
-	if ChecksumBytesWire := ChecksumUpdate(ChecksumBasis, []byte("abc")); ChecksumBytesWire == ChecksumBasis {
-		t.Fatal("checksum did not absorb input")
 	}
 }
 

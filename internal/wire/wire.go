@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -384,49 +385,33 @@ func init() {
 	gob.Register(selection.Bid{})
 }
 
-// ChecksumBasis is the FNV-1a offset basis: the initial state of the
-// running checksum every data stream carries. A failover client threads
+// ChecksumBasis is the initial state of the running checksum every data
+// stream carries (the empty input's checksum). A failover client threads
 // one running state across segments served by different replicas; since
 // an offset resume is byte-contiguous with its predecessor, the final
 // FileEnd's whole-file checksum still verifies.
-const ChecksumBasis uint64 = 14695981039346656037
+//
+// The data-plane checksum is not negotiated: a peer built with the older
+// FNV-1a definition disagrees on every non-empty stream, which fails
+// loudly as a checksum mismatch and is never accepted.
+const ChecksumBasis uint64 = 0
 
-// checksumPrime is the FNV-1a prime.
-const checksumPrime uint64 = 1099511628211
+// castagnoliTable drives the checksum's high half. crc32.MakeTable hands
+// back the hardware-backed table on amd64 (SSE4.2) and arm64 (CRC32X).
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ChecksumUpdate folds data into an FNV-1a running state and returns the
-// new state. The body is 8-way unrolled: FNV-1a is a serial recurrence
-// (every step depends on the previous state), so the win is amortizing
-// loop control and bounds checks, not lane parallelism — the result is
-// bit-identical to the scalar definition (see checksumScalar and the
-// equivalence tests).
+// ChecksumUpdate folds data into the running checksum and returns the new
+// state. The checksum is CRC-32C in the high 32 bits and CRC-32 (IEEE)
+// in the low 32: two CRCs over coprime degree-32 polynomials are, by the
+// CRT, one degree-64 CRC, so random corruption escapes with probability
+// ~2⁻⁶⁴ and every burst of ≤ 32 bits is caught. Both halves run on the
+// CPU's CRC/carry-less-multiply instructions where hash/crc32 has them,
+// so summing every streamed byte no longer bounds the data plane.
+// Like any CRC the state streams: folding a buffer in any split equals
+// folding it whole.
 func ChecksumUpdate(sum uint64, data []byte) uint64 {
-	for len(data) >= 8 {
-		d := data[:8] // one bounds check for the whole group
-		sum = (sum ^ uint64(d[0])) * checksumPrime
-		sum = (sum ^ uint64(d[1])) * checksumPrime
-		sum = (sum ^ uint64(d[2])) * checksumPrime
-		sum = (sum ^ uint64(d[3])) * checksumPrime
-		sum = (sum ^ uint64(d[4])) * checksumPrime
-		sum = (sum ^ uint64(d[5])) * checksumPrime
-		sum = (sum ^ uint64(d[6])) * checksumPrime
-		sum = (sum ^ uint64(d[7])) * checksumPrime
-		data = data[8:]
-	}
-	for _, b := range data {
-		sum = (sum ^ uint64(b)) * checksumPrime
-	}
-	return sum
-}
-
-// checksumScalar is the reference FNV-1a definition the unrolled
-// ChecksumUpdate must match byte-for-byte (kept for equivalence tests).
-func checksumScalar(sum uint64, data []byte) uint64 {
-	for _, b := range data {
-		sum ^= uint64(b)
-		sum *= checksumPrime
-	}
-	return sum
+	return uint64(crc32.Update(uint32(sum>>32), castagnoliTable, data))<<32 |
+		uint64(crc32.Update(uint32(sum), crc32.IEEETable, data))
 }
 
 // RemoteError is an error the peer *served* as a KindError reply: the RPC

@@ -310,7 +310,7 @@ func TestWriteTornLeavesUnreadableStream(t *testing.T) {
 }
 
 func TestChecksumUpdateMatchesSplitInput(t *testing.T) {
-	// The running FNV-1a state must be order-and-split invariant: hashing
+	// The running checksum state must be order-and-split invariant: hashing
 	// a buffer in one call equals hashing it in arbitrary segments. The
 	// failover path depends on this to verify a whole-file checksum
 	// accumulated across stream segments served by different RMs.

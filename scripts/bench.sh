@@ -19,6 +19,11 @@
 # proving the K-wide scheduler actually aggregates per-replica bandwidth
 # instead of serializing behind one throttle.
 #
+# The checksum gate holds the data-plane checksum (BenchmarkChecksum/update,
+# the hardware CRC pair) to at least 4x the serial FNV-1a baseline
+# (BenchmarkChecksum/fnv-legacy): every streamed byte is summed up to three
+# times, so a regression to a serial hash fails the run.
+#
 # Finally it runs the work-conserving QoS benchmark (one stream against an
 # idle sibling's headroom, flat tree vs borrowing tree) into a second
 # report and enforces two gates: the conserving mode must beat the flat
@@ -118,13 +123,15 @@ alloc_gate "BenchmarkControlRoundTrip/CFP_Bid/fast" 2
 alloc_gate "BenchmarkControlRoundTrip/Open_OpenResult/fast" 2
 alloc_gate "BenchmarkControlRoundTrip/Lookup_RMList/fast" 3
 
-# Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
-stripe_mbs() {
-	awk -v b="BenchmarkLiveStripedReadThroughput/$1" \
+# bench_mbs NAME prints the MB/s the benchmark NAME reported.
+bench_mbs() {
+	awk -v b="$1" \
 		'$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i < NF; i++) if ($(i+1) == "MB/s") print $i }' "$RAW"
 }
-k1="$(stripe_mbs K1)"
-k4="$(stripe_mbs K4)"
+
+# Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
+k1="$(bench_mbs BenchmarkLiveStripedReadThroughput/K1)"
+k4="$(bench_mbs BenchmarkLiveStripedReadThroughput/K4)"
 if [ -z "$k1" ] || [ -z "$k4" ]; then
 	echo "GATE: striped K1/K4 benchmarks did not run (K1='$k1' K4='$k4')" >&2
 	fail=1
@@ -134,6 +141,20 @@ elif ! awk -v k1="$k1" -v k4="$k4" -v floor="$STRIPE_FLOOR" \
 	fail=1
 else
 	echo "GATE: striped K4 at $k4 MB/s vs K1 $k1 MB/s (floor ${STRIPE_FLOOR}x) ok"
+fi
+
+# Checksum gate: the data-plane checksum must beat the serial FNV-1a
+# baseline 4x.
+crc="$(bench_mbs BenchmarkChecksum/update)"
+fnv="$(bench_mbs BenchmarkChecksum/fnv-legacy)"
+if [ -z "$crc" ] || [ -z "$fnv" ]; then
+	echo "GATE: checksum benchmarks did not run (update='$crc' fnv-legacy='$fnv')" >&2
+	fail=1
+elif ! awk -v c="$crc" -v f="$fnv" 'BEGIN { exit !(c >= 4 * f) }'; then
+	echo "GATE: checksum at $crc MB/s is under 4x the FNV-1a $fnv MB/s" >&2
+	fail=1
+else
+	echo "GATE: checksum at $crc MB/s vs FNV-1a $fnv MB/s (floor 4x) ok"
 fi
 
 echo "== work-conserving QoS benchmark (benchtime=$BENCH_TIME)"
