@@ -1,6 +1,7 @@
 # Build/test entry points. `make tier1` is the acceptance gate every PR
 # must keep green; `make race` exercises the concurrent paths (transport
-# pool, CFP fan-out, live servers, telemetry scrapes) under the race
+# pool, CFP fan-out, live servers, telemetry scrapes, pooled data-plane
+# buffers) under the race
 # detector; `make cover` enforces the per-package coverage floor on the
 # observability packages; `make chaos` replays the deterministic
 # fault-injection drills (scripted kill/error/torn-frame incidents over
@@ -26,7 +27,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/...
+	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/... ./internal/vdisk/...
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with
@@ -66,10 +67,11 @@ cover:
 	./scripts/cover_gate.sh 60 coverage/telemetry.out coverage/monitor.out coverage/faults.out coverage/scenario.out
 	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out
 
-# bench runs the data-plane benchmark harness: wire codec benchmarks plus
-# the live-TCP streaming and striped-read benchmarks, parsed into
-# BENCH_6.json, with the 0-allocs/op gate on the fast-path codecs and the
-# K4-vs-K1 stripe-scaling floor. The work-conserving QoS benchmark
+# bench runs the data-plane benchmark harness: wire codec and checksum
+# benchmarks, the virtual disk's synthetic fill, and the live-TCP
+# streaming and striped-read benchmarks, parsed into BENCH_6.json, with
+# the 0-allocs/op gate on the fast-path codecs, the checksum and fill
+# speed-up floors and the K4-vs-K1 stripe-scaling floor. The work-conserving QoS benchmark
 # (borrowing tree vs flat baseline) lands in BENCH_9.json, gated on
 # strictly-above-flat utilization with zero assured-floor violations.
 # BENCH_TIME tunes the per-benchmark budget (CI uses a shorter one).
@@ -93,16 +95,22 @@ scenarios:
 scenarios-tenant:
 	SCEN_FLAGS="-scenario noisy-neighbor $(SCEN_FLAGS)" ./scripts/scenarios.sh BENCH_10.json
 
-# fuzz-smoke gives each wire codec fuzz target a short randomized run on
-# top of its seeded corpus — enough to catch decoder panics and checksum
-# divergence without CI-hostile runtimes. Targets must run one at a time
-# (go test allows a single -fuzz pattern per invocation).
+# fuzz-smoke gives each wire codec and checksum fuzz target, and each
+# operator-facing spec parser (-faults, -tenant-quotas, selection
+# policies), a short randomized run on top of its seeded corpus — enough
+# to catch decoder and parser panics and checksum divergence without
+# CI-hostile runtimes. Targets must run one at a time (go test allows a
+# single -fuzz pattern per invocation).
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzChecksumEquivalence$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzControlRoundTrip$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzChecksumCombine$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/tenant/ -run '^$$' -fuzz '^FuzzParseQuotas$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/selection/ -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZ_TIME)
 
 # gobonly builds the wire package with the binary fast path compiled out
 # (the interop escape hatch) and proves both that the build still passes

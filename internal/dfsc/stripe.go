@@ -3,13 +3,14 @@
 // negotiation admits the top-K bidders simultaneously (one reservation
 // per lane, reusing the existing CFP fan-out), and lanes pull contiguous
 // ranges concurrently — each verified by a per-range checksum from the
-// serving RM — while the committer folds the completed buffers into the
+// serving RM — while the committer writes the completed buffers to the
 // writer in offset order, maintaining one whole-file checksum. The
-// committer re-folds the bytes as it writes them rather than combining
-// the lanes' range sums: at the checksum's ~8 GB/s that costs ~2 ms per
-// 16 MiB, which is cheaper in code than a CRC-combine. Segment buffers
-// come from a pool and go back once committed, so repeated reads reuse
-// them instead of allocating one per range.
+// committer never re-reads a segment's bytes for it: each lane keeps the
+// range sum it verified, and the committer folds that in with
+// wire.ChecksumCombine (O(log n) per segment), so a striped read hashes
+// every byte once, in the lane. Segment buffers come from a pool and go
+// back once committed, so repeated reads reuse them instead of
+// allocating one per range.
 //
 // Failover is the degenerate behavior the old reader already had: a lane
 // dying requeues its unfinished range for the surviving lanes and
@@ -39,8 +40,9 @@ import (
 // Directory implements it (RMClient.ReadRange); tests substitute fakes.
 // StreamRange must deliver exactly [offset, offset+length) into w
 // (clamped at EOF by the server), verifying the range checksum when sum
-// is seeded with wire.ChecksumBasis, and report the bytes delivered even
-// on error.
+// is seeded with wire.ChecksumBasis and leaving the checksum of the
+// delivered bytes in *sum (the committer combines it into the whole-file
+// checksum), and report the bytes delivered even on error.
 type RangeStreamer interface {
 	Streamer
 	StreamRange(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error)
@@ -89,6 +91,7 @@ var segPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // stripeDone is a completed segment buffer awaiting commit.
 type stripeDone struct {
 	buf    *bytes.Buffer
+	sum    uint64 // the range checksum the lane verified over buf
 	rm     ids.RMID
 	hedged bool // the committed copy came from the hedge
 }
@@ -195,9 +198,10 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		}(ln)
 	}
 
-	// The caller's goroutine is the committer: it folds completed
-	// segments into w in offset order, maintaining the whole-file
-	// checksum state (a running CRC — offset order is mandatory).
+	// The caller's goroutine is the committer: it writes completed
+	// segments to w in offset order and combines their verified range
+	// sums into the whole-file checksum (CRC combination is not
+	// commutative — offset order is mandatory).
 	sum := wire.ChecksumBasis
 	st.mu.Lock()
 	for st.commit < st.numSegs {
@@ -217,7 +221,7 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 			c.stats.Segments++
 			c.mu.Unlock()
 			_, werr := w.Write(d.buf.Bytes())
-			sum = wire.ChecksumUpdate(sum, d.buf.Bytes())
+			sum = wire.ChecksumCombine(sum, d.sum, int64(d.buf.Len()))
 			segPool.Put(d.buf)
 			st.mu.Lock()
 			if werr != nil && st.err == nil {
@@ -313,7 +317,7 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 				seg.SetOutcome("hedge-lost")
 				segPool.Put(buf)
 			} else {
-				st.done[idx] = &stripeDone{buf: buf, rm: ln.out.RM, hedged: hedge}
+				st.done[idx] = &stripeDone{buf: buf, sum: segSum, rm: ln.out.RM, hedged: hedge}
 				delete(st.inflight, idx)
 				if hedge {
 					st.res.HedgesWon++

@@ -265,7 +265,8 @@ func (s *Script) Decide(point Point, detail string) Decision {
 //	rm.stream.chunk:after=3:action=drop
 //	mm.handle:match=Lookup:prob=0.25:action=error:seed=7
 //
-// An empty spec yields (nil, nil): no injector.
+// A spec with no rules (empty, or only separators) yields (nil, nil): no
+// injector, so the hook sites stay on their nil fast path.
 func Parse(spec string) (*Script, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -299,6 +300,9 @@ func Parse(spec string) (*Script, error) {
 				r.Count, err = strconv.Atoi(v)
 			case "prob":
 				r.Prob, err = strconv.ParseFloat(v, 64)
+				if err == nil && !(r.Prob >= 0) {
+					err = fmt.Errorf("%v is not a probability", r.Prob)
+				}
 			case "action":
 				r.Action, err = ParseAction(v)
 			case "delay":
@@ -316,6 +320,9 @@ func Parse(spec string) (*Script, error) {
 			return nil, fmt.Errorf("faults: rule %q has no action", part)
 		}
 		rules = append(rules, r)
+	}
+	if len(rules) == 0 {
+		return nil, nil
 	}
 	s := NewScript(seed)
 	for _, r := range rules {

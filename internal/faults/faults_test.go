@@ -127,8 +127,10 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseEmptyAndErrors(t *testing.T) {
-	if s, err := Parse("   "); err != nil || s != nil {
-		t.Fatalf("empty spec: (%v, %v), want (nil, nil)", s, err)
+	for _, empty := range []string{"   ", ";", " ; ;"} {
+		if s, err := Parse(empty); err != nil || s != nil {
+			t.Fatalf("Parse(%q) = (%v, %v), want (nil, nil)", empty, s, err)
+		}
 	}
 	for _, bad := range []string{
 		"rm.handle",                          // no action
@@ -138,6 +140,8 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		":action=drop",                       // no point
 		"rm.handle:afterdrop",                // malformed option
 		"rm.handle:delay=later:action=delay", // bad duration
+		"rm.handle:prob=NaN:action=drop",     // not a probability
+		"rm.handle:prob=-0.5:action=drop",    // negative probability
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted", bad)

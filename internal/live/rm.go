@@ -483,6 +483,13 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 	}
 }
 
+// chunkBufs recycles streamFile's chunk buffers across streams. Nothing
+// retains a chunk past the call that sends it — WriteChunkTraced and
+// applyFault (its torn write included) are synchronous — so a buffer is
+// free again when its stream returns. A buffer grows to the largest
+// chunk size it has served (at most 256 KiB).
+var chunkBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // streamFile sends the file from req.Offset as FileChunk frames followed
 // by FileEnd. A positive req.Length bounds the stream to the byte range
 // [Offset, Offset+Length) clamped at EOF; the FileEnd then reports the
@@ -531,7 +538,12 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 	if group == nil {
 		group = s.disk.DefaultGroup()
 	}
-	buf := make([]byte, chunk)
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	if cap(*bp) < chunk {
+		*bp = make([]byte, chunk)
+	}
+	buf := (*bp)[:chunk]
 	off := req.Offset
 	for off < end {
 		want := buf
@@ -588,9 +600,12 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 
 // ingestFile receives an inbound data stream (replica copy or upload) and
 // stores it on the virtual disk. Replica ingestion writes through the raw
-// path: it rides the B_REV reserve, not the VM's QoS throttle. sp, when
-// the WriteFile arrived traced, is the server's "rm.ingest" span and
-// records the byte count stored.
+// path: it rides the B_REV reserve, not the VM's QoS throttle. The disk
+// adopts the receive buffer without a copy, and the checksum verified
+// against the sender's FileEnd becomes the stored file's checksum memo,
+// so the file is hashed once, on arrival. sp, when the WriteFile arrived
+// traced, is the server's "rm.ingest" span and records the byte count
+// stored.
 func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span) error {
 	if s.disk == nil {
 		return wc.WriteError(fmt.Errorf("rm: no data plane configured"))
@@ -636,7 +651,7 @@ func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span)
 			if end.Checksum != sum {
 				return wc.WriteError(fmt.Errorf("rm: inbound checksum mismatch"))
 			}
-			if err := s.disk.WriteRaw(FileName(req.File), data); err != nil {
+			if err := s.disk.WriteRaw(FileName(req.File), data, sum); err != nil {
 				return wc.WriteError(err)
 			}
 			return wc.Write(wire.KindAck, wire.Ack{})

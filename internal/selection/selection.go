@@ -91,8 +91,8 @@ func ParsePolicy(s string) (Policy, error) {
 		if err != nil {
 			return Policy{}, fmt.Errorf("selection: bad policy %q: %w", s, err)
 		}
-		if v < 0 {
-			return Policy{}, fmt.Errorf("selection: policy %q has negative weight", s)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return Policy{}, fmt.Errorf("selection: policy %q has a negative or non-finite weight", s)
 		}
 		vals[i] = v
 	}

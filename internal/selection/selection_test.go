@@ -51,7 +51,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, in := range []string{"", "(1,0)", "(1,0,0,0,0)", "(a,0,0)", "(-1,0,0)", "(1,0,0,-1)", "(1,0,0,x)"} {
+	for _, in := range []string{"", "(1,0)", "(1,0,0,0,0)", "(a,0,0)", "(-1,0,0)", "(1,0,0,-1)", "(1,0,0,x)", "(NaN,0,0)", "(1,Inf,0)"} {
 		if _, err := ParsePolicy(in); err == nil {
 			t.Errorf("ParsePolicy(%q): expected error", in)
 		}

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -73,7 +74,7 @@ func ParseQuotas(spec string) (map[ids.TenantID]Quota, error) {
 		}
 		if len(parts) > 2 && strings.TrimSpace(parts[2]) != "" {
 			w, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-			if err != nil || w <= 0 {
+			if err != nil || !(w > 0) || math.IsInf(w, 1) {
 				return nil, fmt.Errorf("tenant: quota entry %q: bad weight %q", entry, parts[2])
 			}
 			q.Weight = w

@@ -292,6 +292,9 @@ func TestParseQuotas(t *testing.T) {
 		"1=1Mbps:zz",      // bad size
 		"1=1Mbps:1GB:x",   // bad weight
 		"1=1Mbps:1GB:0",   // weight must be positive
+		"1=1Mbps:1GB:NaN", // weight must be a number
+		"1=1Mbps:1GB:Inf", // and finite
+		"1=NaN",           // rates must be finite
 		"1=1Mbps,1=2Mbps", // duplicate
 	} {
 		if _, err := ParseQuotas(bad); err == nil {

@@ -115,14 +115,17 @@ func ParseRate(s string) (BytesPerSec, error) {
 	for _, sf := range suffixes {
 		if strings.HasSuffix(lower, sf.name) {
 			num := strings.TrimSpace(lower[:len(lower)-len(sf.name)])
-			v, err := strconv.ParseFloat(num, 64)
+			v, err := parseFinite(num)
 			if err != nil {
 				return 0, fmt.Errorf("units: bad rate %q: %w", s, err)
 			}
-			return sf.conv(v), nil
+			if r := sf.conv(v); !math.IsInf(float64(r), 0) {
+				return r, nil
+			}
+			return 0, fmt.Errorf("units: rate %q out of range", s)
 		}
 	}
-	v, err := strconv.ParseFloat(lower, 64)
+	v, err := parseFinite(lower)
 	if err != nil {
 		return 0, fmt.Errorf("units: bad rate %q: %w", s, err)
 	}
@@ -153,18 +156,38 @@ func ParseSize(s string) (Size, error) {
 	for _, sf := range suffixes {
 		if strings.HasSuffix(lower, sf.name) {
 			num := strings.TrimSpace(lower[:len(lower)-len(sf.name)])
-			v, err := strconv.ParseFloat(num, 64)
+			v, err := parseFinite(num)
 			if err != nil {
 				return 0, fmt.Errorf("units: bad size %q: %w", s, err)
 			}
-			return Size(math.Round(v * sf.mult)), nil
+			return sizeOf(s, v*sf.mult)
 		}
 	}
-	v, err := strconv.ParseFloat(lower, 64)
+	v, err := parseFinite(lower)
 	if err != nil {
 		return 0, fmt.Errorf("units: bad size %q: %w", s, err)
 	}
-	return Size(math.Round(v)), nil
+	return sizeOf(s, v)
+}
+
+// sizeOf rounds a parsed byte count to a Size, refusing counts an int64
+// cannot hold (whose conversion Go leaves to the platform).
+func sizeOf(s string, v float64) (Size, error) {
+	v = math.Round(v)
+	if v >= math.MaxInt64 || v < math.MinInt64 {
+		return 0, fmt.Errorf("units: size %q out of range", s)
+	}
+	return Size(v), nil
+}
+
+// parseFinite is strconv.ParseFloat refusing NaN and infinities, which
+// no rate or size means.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, err
 }
 
 // DurationSec returns how many seconds a transfer of size s takes at rate b.

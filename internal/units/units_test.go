@@ -86,7 +86,7 @@ func TestParseRate(t *testing.T) {
 }
 
 func TestParseRateErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "12xy/s", "Mbps"} {
+	for _, in := range []string{"", "abc", "12xy/s", "Mbps", "NaN", "inf Mbps", "-Inf", "1e300GBps"} {
 		if _, err := ParseRate(in); err == nil {
 			t.Errorf("ParseRate(%q): expected error", in)
 		}
@@ -118,7 +118,7 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestParseSizeErrors(t *testing.T) {
-	for _, in := range []string{"", "big", "MB"} {
+	for _, in := range []string{"", "big", "MB", "NaN", "Inf GB", "1e19", "-1e30 KiB"} {
 		if _, err := ParseSize(in); err == nil {
 			t.Errorf("ParseSize(%q): expected error", in)
 		}

@@ -275,8 +275,12 @@ func (d *Disk) ReadAtRaw(name string, p []byte, off int64) (int, error) {
 }
 
 // WriteRaw stores explicit contents without charging the write throttle,
-// for replica ingestion over the B_REV reserve.
-func (d *Disk) WriteRaw(name string, data []byte) error {
+// for replica ingestion over the B_REV reserve. The disk takes ownership
+// of data: it is stored as is, not copied, so the caller must not touch
+// it again. sum must be data's checksum (wire.ChecksumUpdate from
+// wire.ChecksumBasis) and becomes the file's checksum memo, so a caller
+// that verified the bytes as they arrived spares the disk a second pass.
+func (d *Disk) WriteRaw(name string, data []byte, sum uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	size := units.Size(len(data))
@@ -286,12 +290,16 @@ func (d *Disk) WriteRaw(name string, data []byte) error {
 	if d.used+size > d.capacity {
 		return fmt.Errorf("vdisk: writing %q (%v) overflows disk", name, size)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.files[name] = &file{size: size, data: cp}
+	d.files[name] = &file{size: size, data: data, sum: sum, sumOK: true}
 	d.used += size
 	return nil
 }
+
+// synthBufs recycles Checksum's fill buffers for synthetic files.
+var synthBufs = sync.Pool{New: func() any {
+	b := make([]byte, 64*1024)
+	return &b
+}}
 
 // Checksum computes the data-plane checksum (wire.ChecksumUpdate) of the
 // whole file without throttling (integrity checks are not disk I/O). The
@@ -311,7 +319,8 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	if f.data != nil {
 		sum = wire.ChecksumUpdate(sum, f.data)
 	} else {
-		buf := make([]byte, 64*1024)
+		bp := synthBufs.Get().(*[]byte)
+		buf := *bp
 		for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
 			n := int64(len(buf))
 			if rem := int64(f.size) - off; n > rem {
@@ -320,6 +329,7 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 			fillSynthetic(buf[:n], f.seed, off)
 			sum = wire.ChecksumUpdate(sum, buf[:n])
 		}
+		synthBufs.Put(bp)
 	}
 	// Publish the memo. Racing fills compute identical values; the entry
 	// may have been replaced meanwhile, in which case the write lands on
@@ -348,7 +358,9 @@ func seedOf(name string) uint64 {
 // generated independently of how the file is cut into reads — while the
 // bulk of the work runs one multiply-xor mix per 8 bytes instead of per
 // byte (the generator sits under every streamed chunk; byte-at-a-time it
-// was a data-plane bottleneck comparable to the wire codec itself).
+// was a data-plane bottleneck comparable to the wire codec itself). The
+// block loop runs four independent mixes per iteration, so their multiply
+// chains overlap in the pipeline instead of retiring one word at a time.
 func fillSynthetic(p []byte, seed uint64, off int64) {
 	k := uint64(off)
 	i := 0
@@ -358,7 +370,17 @@ func fillSynthetic(p []byte, seed uint64, off int64) {
 		i++
 		k++
 	}
-	// Full blocks: one mix per 8 output bytes.
+	// Full blocks: one mix per 8 output bytes, four blocks at a time.
+	for len(p)-i >= 32 {
+		q := p[i : i+32 : i+32]
+		b := k / 8
+		binary.LittleEndian.PutUint64(q[0:8], synthWord(b, seed))
+		binary.LittleEndian.PutUint64(q[8:16], synthWord(b+1, seed))
+		binary.LittleEndian.PutUint64(q[16:24], synthWord(b+2, seed))
+		binary.LittleEndian.PutUint64(q[24:32], synthWord(b+3, seed))
+		i += 32
+		k += 32
+	}
 	for len(p)-i >= 8 {
 		binary.LittleEndian.PutUint64(p[i:i+8], synthWord(k/8, seed))
 		i += 8

@@ -414,6 +414,76 @@ func ChecksumUpdate(sum uint64, data []byte) uint64 {
 		uint64(crc32.Update(uint32(sum), crc32.IEEETable, data))
 }
 
+// ChecksumCombine returns the checksum of A‖B from a, the checksum of A,
+// and b, the checksum of the n-byte B, without touching the bytes:
+// ChecksumCombine(ChecksumUpdate(ChecksumBasis, A), ChecksumUpdate(ChecksumBasis, B), len(B))
+// equals ChecksumUpdate(ChecksumBasis, A‖B). Each CRC half shifts a by
+// x^(8n) mod P and adds b, so a reader that verified its pieces'
+// checksums separately folds them into the whole's in O(log n). n must
+// not be negative.
+func ChecksumCombine(a, b uint64, n int64) uint64 {
+	if n < 0 {
+		panic("wire: ChecksumCombine of a negative length")
+	}
+	return uint64(castagnoliShift.shift(uint32(a>>32), n)^uint32(b>>32))<<32 |
+		uint64(ieeeShift.shift(uint32(a), n)^uint32(b))
+}
+
+// crcShifter multiplies CRC-32 values by powers of x modulo one
+// polynomial. Polynomials are bit-reflected like hash/crc32's: bit 31
+// holds the x⁰ coefficient.
+type crcShifter struct {
+	poly uint32 // the reflected polynomial, as crc32.Castagnoli/IEEE
+	// pow[k] is x^(8·2^k) mod P: one entry per bit of a non-negative
+	// int64 byte count. (zlib wraps a 32-entry table on the period of
+	// x^(2^k), which holds for CRC-32 but not for CRC-32C.)
+	pow [63]uint32
+}
+
+var (
+	castagnoliShift = newCRCShifter(crc32.Castagnoli)
+	ieeeShift       = newCRCShifter(crc32.IEEE)
+)
+
+func newCRCShifter(poly uint32) *crcShifter {
+	s := &crcShifter{poly: poly}
+	p := uint32(1) << 30 // x¹
+	for i := 0; i < 3; i++ {
+		p = s.mul(p, p) // x² → x⁴ → x⁸
+	}
+	for k := range s.pow {
+		s.pow[k] = p
+		p = s.mul(p, p)
+	}
+	return s
+}
+
+// mul returns a·b mod P.
+func (s *crcShifter) mul(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ s.poly
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// shift returns crc·x^(8n) mod P: the CRC register after n zero bytes.
+func (s *crcShifter) shift(crc uint32, n int64) uint32 {
+	for k := 0; n != 0; k, n = k+1, n>>1 {
+		if n&1 != 0 {
+			crc = s.mul(s.pow[k], crc)
+		}
+	}
+	return crc
+}
+
 // RemoteError is an error the peer *served* as a KindError reply: the RPC
 // round trip itself completed, so the connection stays healthy and
 // reusable. Callers distinguish it from transport failures with

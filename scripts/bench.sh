@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # bench.sh — reproducible data-plane benchmark run.
 #
-# Runs the wire codec benchmarks and the live-TCP streaming benchmark,
-# parses the `go test -bench` output into BENCH_6.json, and enforces the
-# fast-path allocation ceiling: BenchmarkEncodeChunk/fast and
+# Runs the wire codec benchmarks, the virtual-disk fill benchmark and the
+# live-TCP streaming benchmark, parses the `go test -bench` output into
+# BENCH_6.json, and enforces the fast-path allocation ceiling:
+# BenchmarkEncodeChunk/fast and
 # BenchmarkDecodeChunk/fast — and their trace-slot-carrying Traced
 # variants — must stay at (by default) 0 allocs/op. The zero-allocation
 # property is the point of the fast path, and a regression here is a
@@ -23,6 +24,13 @@
 # the hardware CRC pair) to at least 4x the serial FNV-1a baseline
 # (BenchmarkChecksum/fnv-legacy): every streamed byte is summed up to three
 # times, so a regression to a serial hash fails the run.
+#
+# The fill gate holds the synthetic-content generator
+# (BenchmarkFillSynthetic/unrolled, four independent mixes per iteration)
+# to at least 1.25x its one-mix-per-iteration form
+# (BenchmarkFillSynthetic/scalar): it produces every byte an RM streams
+# from a provisioned file. BenchmarkChecksumCombine (the stripe
+# committer's per-segment checksum fold) is recorded, not gated.
 #
 # Finally it runs the work-conserving QoS benchmark (one stream against an
 # idle sibling's headroom, flat tree vs borrowing tree) into a second
@@ -54,6 +62,11 @@ trap 'rm -f "$RAW" "$RAW9"' EXIT
 echo "== wire codec benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/wire/ -run '^$' \
 	-bench 'BenchmarkEncodeChunk|BenchmarkDecodeChunk|BenchmarkRoundTrip|BenchmarkStreamThroughput|BenchmarkChecksum|BenchmarkEncodeRangedRead|BenchmarkDecodeRangedRead|BenchmarkControlRoundTrip' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+
+echo "== virtual disk benchmarks (benchtime=$BENCH_TIME)"
+go test ./internal/vdisk/ -run '^$' \
+	-bench 'BenchmarkFillSynthetic' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 echo "== live TCP streaming benchmarks (benchtime=$BENCH_TIME)"
@@ -155,6 +168,20 @@ elif ! awk -v c="$crc" -v f="$fnv" 'BEGIN { exit !(c >= 4 * f) }'; then
 	fail=1
 else
 	echo "GATE: checksum at $crc MB/s vs FNV-1a $fnv MB/s (floor 4x) ok"
+fi
+
+# Fill gate: the unrolled synthetic-content generator must beat its
+# one-mix-per-iteration form 1.25x.
+unrolled="$(bench_mbs BenchmarkFillSynthetic/unrolled)"
+scalar="$(bench_mbs BenchmarkFillSynthetic/scalar)"
+if [ -z "$unrolled" ] || [ -z "$scalar" ]; then
+	echo "GATE: fill benchmarks did not run (unrolled='$unrolled' scalar='$scalar')" >&2
+	fail=1
+elif ! awk -v u="$unrolled" -v s="$scalar" 'BEGIN { exit !(u >= 1.25 * s) }'; then
+	echo "GATE: unrolled fill at $unrolled MB/s is under 1.25x the scalar $scalar MB/s" >&2
+	fail=1
+else
+	echo "GATE: unrolled fill at $unrolled MB/s vs scalar $scalar MB/s (floor 1.25x) ok"
 fi
 
 echo "== work-conserving QoS benchmark (benchtime=$BENCH_TIME)"
