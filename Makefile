@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test vet race cover chaos chaos-mm bench scenarios scenarios-tenant fuzz-smoke gobonly fmt-check docs all
+.PHONY: tier1 build test vet race cover chaos chaos-mm bench scenarios scenarios-tenant fuzz-smoke codec-skew fmt-check docs all
 
 all: tier1 vet
 
@@ -112,11 +112,13 @@ fuzz-smoke:
 	$(GO) test ./internal/tenant/ -run '^$$' -fuzz '^FuzzParseQuotas$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/selection/ -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZ_TIME)
 
-# gobonly builds the wire package with the binary fast path compiled out
-# (the interop escape hatch) and proves both that the build still passes
-# its suite and that it rejects binary frames with the typed error.
-gobonly:
-	$(GO) test -tags gobonly -count=1 ./internal/wire/
+# codec-skew replays version skew over real TCP: a frame under the
+# legacy gob tag 0, one under an unassigned tag, and an unknown kind must
+# each fail promptly with a typed *wire.CodecError against a real RM
+# server and a real RM client, and a peer that predates the CRC checksum
+# must fail on the checksum, on reads and uploads alike.
+codec-skew:
+	$(GO) test -count=1 -run '^(TestLiveCodecSkewFailsLoudly|TestLegacyChecksumPeerFailsLoudly|TestLegacyChecksumUploadRefused)$$' ./internal/live/
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

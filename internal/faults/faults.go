@@ -295,9 +295,9 @@ func Parse(spec string) (*Script, error) {
 			case "match":
 				r.Match = v
 			case "after":
-				r.After, err = strconv.Atoi(v)
+				r.After, err = nonNegative(strconv.Atoi(v))
 			case "count":
-				r.Count, err = strconv.Atoi(v)
+				r.Count, err = nonNegative(strconv.Atoi(v))
 			case "prob":
 				r.Prob, err = strconv.ParseFloat(v, 64)
 				if err == nil && !(r.Prob >= 0) {
@@ -306,7 +306,7 @@ func Parse(spec string) (*Script, error) {
 			case "action":
 				r.Action, err = ParseAction(v)
 			case "delay":
-				r.Delay, err = time.ParseDuration(v)
+				r.Delay, err = nonNegative(time.ParseDuration(v))
 			case "seed":
 				seed, err = strconv.ParseUint(v, 10, 64)
 			default:
@@ -329,6 +329,16 @@ func Parse(spec string) (*Script, error) {
 		s.Add(r)
 	}
 	return s, nil
+}
+
+// nonNegative passes a parsed option through, refusing a negative one: a
+// negative after or count would arm on the first hit and never stop
+// firing, and a negative delay would stall for nothing.
+func nonNegative[T int | time.Duration](v T, err error) (T, error) {
+	if err == nil && v < 0 {
+		err = fmt.Errorf("%v is negative", v)
+	}
+	return v, err
 }
 
 // Metrics counts injected faults by point and action

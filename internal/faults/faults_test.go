@@ -142,6 +142,10 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"rm.handle:delay=later:action=delay", // bad duration
 		"rm.handle:prob=NaN:action=drop",     // not a probability
 		"rm.handle:prob=-0.5:action=drop",    // negative probability
+		"rm.handle:after=-5:action=drop",     // negative after
+		"rm.handle:count=-1:action=drop",     // negative count
+		"rm.handle:delay=-1s:action=delay",   // negative delay
+		"rm.handle:after=-5:count=-1:delay=-1s:action=delay",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted", bad)

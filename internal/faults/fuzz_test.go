@@ -7,7 +7,8 @@ import (
 
 // FuzzParse feeds arbitrary -faults specs to Parse: no input may panic,
 // an accepted spec must parse to the same script twice, and every rule
-// it accepts must be armable (a point, an action, a real probability).
+// it accepts must be armable (a point, an action, a real probability,
+// and no negative after, count or delay).
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -16,6 +17,7 @@ func FuzzParse(f *testing.F) {
 		"rm.handle:after=10:count=2:action=delay:delay=250ms; rm.stream.chunk:action=kill",
 		"rm.handle:prob=NaN:action=drop",
 		"rm.handle:prob=-1:action=partial",
+		"rm.handle:after=-5:count=-1:delay=-1s:action=delay",
 		";;x:action=none",
 		" ; ;",
 		"a:b",
@@ -41,7 +43,8 @@ func FuzzParse(f *testing.F) {
 			if *r != *s2.rules[i] {
 				t.Fatalf("Parse(%q) rule %d: %+v vs %+v", spec, i, *r, *s2.rules[i])
 			}
-			if r.Point == "" || r.Action <= None || r.Action > Kill || !(r.Prob >= 0) {
+			if r.Point == "" || r.Action <= None || r.Action > Kill || !(r.Prob >= 0) ||
+				r.After < 0 || r.Count < 0 || r.Delay < 0 {
 				t.Fatalf("Parse(%q) accepted an unarmable rule %+v", spec, *r)
 			}
 		}

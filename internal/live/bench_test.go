@@ -16,7 +16,6 @@ import (
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
-	"dfsqos/internal/wire"
 )
 
 // BenchmarkLiveStreamThroughput measures end-to-end data-plane throughput
@@ -24,54 +23,40 @@ import (
 // file through the full stack (vdisk read, blkio throttle, wire framing,
 // kernel sockets, client-side checksum verify). The disk throttle is set
 // absurdly high so the codec and framing—not the QoS limiter—dominate.
-// The gob sub-benchmark pins every connection to the seed codec; fast is
-// the default build. Their ratio is the data-plane speedup BENCH_4.json
-// records.
 func BenchmarkLiveStreamThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			// Codec defaults apply to connections created afterwards, on
-			// both ends (server accepts live in-process).
-			prev := wire.SetDefaultFastPath(mode.fast)
-			defer wire.SetDefaultFastPath(prev)
+	b.Run("fast", func(b *testing.B) {
+		lc := startLiveCluster(b,
+			[]units.BytesPerSec{units.Mbps(1e6)}, // throttle out of the way
+			map[ids.FileID][]ids.RMID{0: {1}},
+			replication.DefaultConfig(replication.Static()), 100)
+		defer lc.shutdown()
 
-			lc := startLiveCluster(b,
-				[]units.BytesPerSec{units.Mbps(1e6)}, // throttle out of the way
-				map[ids.FileID][]ids.RMID{0: {1}},
-				replication.DefaultConfig(replication.Static()), 100)
-			defer lc.shutdown()
-
-			served, ok := lc.dir.RMClient(1)
-			if !ok {
-				b.Fatal("RM 1 not reachable")
-			}
-			size := int64(lc.cat.File(0).Size)
-			// Warm the stream path once WITH integrity verification: the
-			// codec under measurement must produce checksum-clean bytes.
-			if _, err := served.ReadFile(0, io.Discard); err != nil {
+		served, ok := lc.dir.RMClient(1)
+		if !ok {
+			b.Fatal("RM 1 not reachable")
+		}
+		size := int64(lc.cat.File(0).Size)
+		// Warm the stream path once WITH integrity verification: the
+		// codec under measurement must produce checksum-clean bytes.
+		if _, err := served.ReadFile(0, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		// The measured loop passes a nil checksum state: this benchmark
+		// isolates transport throughput (codec, framing, syscalls); the
+		// checksum cost is benchmarked separately (wire.BenchmarkChecksum).
+		for i := 0; i < b.N; i++ {
+			n, err := served.ReadFileAt(context.Background(), 0, 0, 0, io.Discard, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			// The measured loop passes a nil checksum state: this benchmark
-			// isolates transport throughput (codec, framing, syscalls); the
-			// checksum verify cost is identical in both modes and benchmarked
-			// separately (wire.BenchmarkChecksum).
-			for i := 0; i < b.N; i++ {
-				n, err := served.ReadFileAt(context.Background(), 0, 0, 0, io.Discard, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != size {
-					b.Fatalf("streamed %d bytes, want %d", n, size)
-				}
+			if n != size {
+				b.Fatalf("streamed %d bytes, want %d", n, size)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkLiveWorkConservingThroughput is the work-conserving QoS

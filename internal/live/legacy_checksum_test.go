@@ -10,6 +10,7 @@ import (
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/replication"
+	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -62,7 +63,7 @@ func startRawRM(t *testing.T, body []byte, endSum func([]byte) uint64) string {
 						end = req.Offset + req.Length
 					}
 					for off := req.Offset; off < end; off += 4096 {
-						if err := wc.WriteChunk(off, body[off:min(off+4096, end)]); err != nil {
+						if err := wc.WriteChunk(trace.SpanContext{}, off, body[off:min(off+4096, end)]); err != nil {
 							return
 						}
 					}
@@ -142,7 +143,7 @@ func TestLegacyChecksumUploadRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		for off := 0; off < len(body); off += 8192 {
-			if err := wc.WriteChunk(int64(off), body[off:min(off+8192, len(body))]); err != nil {
+			if err := wc.WriteChunk(trace.SpanContext{}, int64(off), body[off:min(off+8192, len(body))]); err != nil {
 				t.Fatal(err)
 			}
 		}

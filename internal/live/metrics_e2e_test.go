@@ -182,13 +182,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// Wire servers: request counters by kind.
 		`server="mm"`,
 		`server="rm"`,
-		// Wire codec split: the gob and binary series are exposed
-		// whether or not a frame moved on them (only the shard-group
-		// kinds and gob-pinned peers send gob).
-		`dfsqos_wire_frames_total{dir="tx",codec="gob"}`,
-		`dfsqos_wire_frames_total{dir="rx",codec="gob"}`,
+		// Wire codec split: every codec tag's series is exposed
+		// whether or not a frame moved on it.
 		`dfsqos_wire_frames_total{dir="tx",codec="binary"}`,
 		`dfsqos_wire_frames_total{dir="rx",codec="binary"}`,
+		`dfsqos_wire_frames_total{dir="tx",codec="binary-tenant"}`,
+		`dfsqos_wire_frames_total{dir="rx",codec="binary-tenant"}`,
 		// RM core: the paper's remained-bandwidth runtime info plus the
 		// negotiation counters.
 		"dfsqos_rm_remaining_bandwidth_bytes_per_second",

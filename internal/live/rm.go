@@ -81,12 +81,16 @@ func NewRMServer(node *rm.RM, disk *vdisk.Disk, addr string) (*RMServer, error) 
 	return s, nil
 }
 
-// SetLogger routes diagnostics (default: discard).
+// SetLogger routes diagnostics (default: discard). Connections accepted
+// after the call log through logf: the accept loop takes s.mu before it
+// starts each connection, so the write below happens before their reads.
 func (s *RMServer) SetLogger(logf func(string, ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	s.mu.Lock()
 	s.logf = logf
+	s.mu.Unlock()
 }
 
 // SetReplyTimeout arms a per-frame write deadline on connections accepted
@@ -484,7 +488,7 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 }
 
 // chunkBufs recycles streamFile's chunk buffers across streams. Nothing
-// retains a chunk past the call that sends it — WriteChunkTraced and
+// retains a chunk past the call that sends it — WriteChunk and
 // applyFault (its torn write included) are synchronous — so a buffer is
 // free again when its stream returns. A buffer grows to the largest
 // chunk size it has served (at most 256 KiB).
@@ -563,9 +567,9 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 					return ferr
 				}
 			}
-			// WriteChunkTraced is the zero-copy fast path: one writev per
-			// chunk, and buf is reusable as soon as it returns.
-			if werr := wc.WriteChunkTraced(tc, off, buf[:n]); werr != nil {
+			// WriteChunk is the zero-copy fast path: one writev per chunk,
+			// and buf is reusable as soon as it returns.
+			if werr := wc.WriteChunk(tc, off, buf[:n]); werr != nil {
 				sp.SetBytes(off - req.Offset)
 				return werr
 			}
@@ -1004,7 +1008,7 @@ func (c *RMClient) WriteFile(ctx context.Context, file ids.FileID, rep ids.Repli
 		for off < size {
 			n, err := r.Read(buf)
 			if n > 0 {
-				if werr := wc.WriteChunkTraced(tc, off, buf[:n]); werr != nil {
+				if werr := wc.WriteChunk(tc, off, buf[:n]); werr != nil {
 					return werr
 				}
 				sum = wire.ChecksumUpdate(sum, buf[:n])

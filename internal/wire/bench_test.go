@@ -47,209 +47,98 @@ func chunkData() []byte {
 	return data
 }
 
-// BenchmarkEncodeChunk measures the cost of putting one FileChunk frame on
-// the wire: the fast path must be 0 allocs/op (the bench gate pins this),
-// the gob sub-benchmark is the seed baseline it replaced.
+// benchEncodeChunk measures putting one FileChunk frame on the wire
+// under span context tc from a connection stamped with tenant.
+func benchEncodeChunk(b *testing.B, tc trace.SpanContext, tenant ids.TenantID) {
+	data := chunkData()
+	c := NewConn(discardRW{})
+	c.SetTenant(tenant)
+	b.SetBytes(benchChunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.WriteChunk(tc, int64(i)*benchChunk, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDecodeChunk measures turning the frame benchEncodeChunk writes
+// back into a FileChunk: the decoder borrows the pooled frame buffer, so
+// with Release a read allocates nothing.
+func benchDecodeChunk(b *testing.B, tc trace.SpanContext, tenant ids.TenantID) {
+	var buf bytes.Buffer
+	w := NewConn(&buf)
+	w.SetTenant(tenant)
+	if err := w.WriteChunk(tc, 0, chunkData()); err != nil {
+		b.Fatal(err)
+	}
+	r := NewConn(&loopRW{frame: buf.Bytes()})
+	b.SetBytes(benchChunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg, err := r.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		msg.Release()
+	}
+}
+
+// benchTC is the span context the traced and tenant benchmarks carry.
+var benchTC = trace.SpanContext{Trace: 42, Span: 7}
+
+// The chunk codec benchmarks, one per codec tag: plain (tag 1), traced
+// (tag 2) and tenant-stamped (tag 3). scripts/bench.sh gates each /fast
+// sub-benchmark at 0 allocs/op: neither tracing nor tenancy may put
+// allocations back on the data plane.
+
 func BenchmarkEncodeChunk(b *testing.B) {
-	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunk(int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchEncodeChunk(b, trace.SpanContext{}, ids.NoneTenant) })
 }
 
-// BenchmarkDecodeChunk measures turning frame bytes back into a FileChunk.
-// The fast path borrows the pooled frame buffer (0 allocs/op with Release);
-// gob re-decodes through reflection each time.
 func BenchmarkDecodeChunk(b *testing.B) {
-	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.WriteChunk(0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchDecodeChunk(b, trace.SpanContext{}, ids.NoneTenant) })
 }
 
-// BenchmarkEncodeChunkTraced is BenchmarkEncodeChunk with the 16-byte
-// trace slot on every frame (codec tag 2). The fast sub-benchmark is
-// gated at 0 allocs/op like its untraced sibling: tracing must not put
-// allocations back on the data plane.
 func BenchmarkEncodeChunkTraced(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunkTraced(tc, int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchEncodeChunk(b, benchTC, ids.NoneTenant) })
 }
 
-// BenchmarkDecodeChunkTraced decodes traced chunk frames; the fast path
-// must stay 0 allocs/op (bench gate).
 func BenchmarkDecodeChunkTraced(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.WriteChunkTraced(tc, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchDecodeChunk(b, benchTC, ids.NoneTenant) })
 }
 
-// BenchmarkEncodeChunkTenant is BenchmarkEncodeChunk on a
-// tenant-stamped connection: every frame carries the 4-byte tenant slot
-// plus the 16-byte trace slot (codec tag 3). The fast sub-benchmark is
-// gated at 0 allocs/op like its untagged siblings: tenancy must not put
-// allocations back on the data plane.
 func BenchmarkEncodeChunkTenant(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			c.SetTenant(3)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunkTraced(tc, int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchEncodeChunk(b, benchTC, 3) })
 }
 
-// BenchmarkDecodeChunkTenant decodes tenant-tagged chunk frames; the
-// fast path must stay 0 allocs/op (bench gate).
 func BenchmarkDecodeChunkTenant(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			w.SetTenant(3)
-			if err := w.WriteChunkTraced(tc, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
-	}
+	b.Run("fast", func(b *testing.B) { benchDecodeChunk(b, benchTC, 3) })
 }
 
 // BenchmarkRoundTrip measures encode + decode through an in-memory stream,
 // the full per-frame codec cost without network effects.
 func BenchmarkRoundTrip(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			c := NewConn(&buf)
-			c.SetFastPath(mode.fast)
-			c.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunk(int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
-				}
-				msg, err := c.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
+	b.Run("fast", func(b *testing.B) {
+		var buf bytes.Buffer
+		c := NewConn(&buf)
+		b.SetBytes(benchChunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.WriteChunk(trace.SpanContext{}, int64(i)*benchChunk, data); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			msg, err := c.Read()
+			if err != nil {
+				b.Fatal(err)
+			}
+			msg.Release()
+		}
+	})
 }
 
 // BenchmarkStreamThroughput measures a producer/consumer chunk stream over
@@ -257,49 +146,42 @@ func BenchmarkRoundTrip(b *testing.B) {
 // and checksumming them — the shape of the RM data plane minus the kernel.
 func BenchmarkStreamThroughput(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cw, cr := net.Pipe()
-			w := NewConn(cw)
-			w.SetFastPath(mode.fast)
-			r := NewConn(cr)
-			r.SetAcceptBinary(true)
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					if err := w.WriteChunk(int64(i)*benchChunk, data); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}()
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sum := ChecksumBasis
+	b.Run("fast", func(b *testing.B) {
+		cw, cr := net.Pipe()
+		w := NewConn(cw)
+		r := NewConn(cr)
+		done := make(chan error, 1)
+		go func() {
 			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
+				if err := w.WriteChunk(trace.SpanContext{}, int64(i)*benchChunk, data); err != nil {
+					done <- err
+					return
 				}
-				if ch, ok := msg.Chunk(); ok {
-					sum = ChecksumUpdate(sum, ch.Data[:64]) // sample, not full hash
-				}
-				msg.Release()
 			}
-			b.StopTimer()
-			if err := <-done; err != nil {
+			done <- nil
+		}()
+		b.SetBytes(benchChunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		sum := ChecksumBasis
+		for i := 0; i < b.N; i++ {
+			msg, err := r.Read()
+			if err != nil {
 				b.Fatal(err)
 			}
-			_ = sum
-			cw.Close()
-			cr.Close()
-		})
-	}
+			if ch, ok := msg.Chunk(); ok {
+				sum = ChecksumUpdate(sum, ch.Data[:64]) // sample, not full hash
+			}
+			msg.Release()
+		}
+		b.StopTimer()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+		_ = sum
+		cw.Close()
+		cr.Close()
+	})
 }
 
 // checksumFNV is the FNV-1a data-plane sum peers built before the CRC
@@ -344,9 +226,8 @@ func BenchmarkChecksum(b *testing.B) {
 // BenchmarkControlRoundTrip measures one negotiation exchange through an
 // in-memory stream: the requester writes the request, the server reads
 // it and writes the reply, the requester reads the reply — four codec
-// passes, no network. The fast variants are gated at their measured
-// allocs/op (payload boxing and decoded slices only); the gob variants
-// are the per-frame-encoder baseline the binary layouts replaced.
+// passes, no network. scripts/bench.sh gates each /fast variant at its
+// measured allocs/op (payload boxing and decoded slices only).
 func BenchmarkControlRoundTrip(b *testing.B) {
 	exchanges := []struct {
 		name      string
@@ -363,32 +244,25 @@ func BenchmarkControlRoundTrip(b *testing.B) {
 			KindRMList, RMList{RMs: []ids.RMID{3, 7, 11}}},
 	}
 	for _, ex := range exchanges {
-		for _, mode := range []struct {
-			name string
-			fast bool
-		}{{"fast", true}, {"gob", false}} {
-			b.Run(ex.name+"/"+mode.name, func(b *testing.B) {
-				var buf bytes.Buffer
-				c := NewConn(&buf)
-				c.SetFastPath(mode.fast)
-				c.SetAcceptBinary(true)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.Write(ex.reqKind, ex.req); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Read(); err != nil {
-						b.Fatal(err)
-					}
-					if err := c.Write(ex.replyKind, ex.reply); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Read(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(ex.name+"/fast", func(b *testing.B) {
+			var buf bytes.Buffer
+			c := NewConn(&buf)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Write(ex.reqKind, ex.req); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := c.Read(); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Write(ex.replyKind, ex.reply); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,9 @@
-// Binary codec for every frame kind except the shard-group ones. The
-// frame header carries a one-byte codec tag, so every frame
-// independently declares how its body is encoded: gob (tag 0, the
-// stateless reflection codec every kind supports), binary v1 (tag 1, a
-// hand-rolled fixed-layout encoding), traced binary (tag 2, the same
-// layout with a 16-byte trace slot ahead of the kind), or tenant binary
-// (tag 3, a tenant slot and the trace slot ahead of the kind). All the
-// codecs can interleave freely on one connection — the reader dispatches
-// per frame, and no codec keeps cross-frame state, so the "stateless
-// frame" recovery property of the original gob framing is preserved.
+// Binary codec for every frame kind. The frame header carries a
+// one-byte codec tag, and the tag declares which slots precede the
+// binary-v1 body: none (tag 1), a 16-byte trace slot (tag 2), or a 4-byte
+// tenant slot and then the trace slot (tag 3). The tags interleave freely
+// on one connection — the reader dispatches per frame, and no frame
+// leaves cross-frame state, so a corrupted frame cannot poison the next.
 //
 // Binary v1 body layout (big-endian throughout; f64 is the IEEE-754 bit
 // pattern, bool one byte 0 or 1, []T a u32 count then the elements, str
@@ -20,7 +16,8 @@
 //	  ReadFile:   file i32 | chunkSize i64 | offset i64 | request i64 [| length i64]
 //	              (the trailing length is present only for ranged reads —
 //	              Length > 0 — so a whole-file request frames byte-identically
-//	              to the pre-ranged layout; the decoder accepts both lengths)
+//	              to the pre-ranged layout; the decoder accepts both lengths
+//	              and refuses a trailing length that is not positive)
 //	  WriteFile:  file i32 | sizeBytes i64 | replication i64
 //	  Ack:        (empty)
 //	  Error:      text (rest, UTF-8)
@@ -47,47 +44,44 @@
 //	              durationSec f64 | rate f64 | source i32
 //	  OfferReply: accepted bool
 //	  FinishReplica: replication i64 | committed bool
+//	  ShardBeat:  shard i32
+//	  ShardMirror: op str | file i32 | rm i32 | maxTotal i64 | commit bool
+//	  ShardHandoff: from i32 | direction str | infos []RMInfo |
+//	              entries []{file i32 | rms []i32}
 //	where RMInfo is  id i32 | capacity f64 | storageBytes i64 | addr str
 //
-// A zero count decodes to nil (as gob decodes an empty slice), and every
-// decoded payload is the value type gob returns for the kind, so
-// receivers type-assert payloads without knowing the codec. A count is
-// checked against the remaining body before anything is allocated; a
-// short body, a leftover byte or a bool byte above 1 is a CodecError.
+// A zero count decodes to nil, and every decoded payload is a value of
+// the type the sender passed (FileChunk and ranged ReadFile excepted:
+// they decode to pooled pointers), so receivers type-assert payloads
+// directly. A count is checked against the remaining body before
+// anything is allocated; a short body, a leftover byte or a bool byte
+// above 1 is a CodecError. Every accepted body re-encodes to the same
+// bytes.
 //
-// Traced binary (tag 2) body layout:
+// Slot layouts, ahead of the binary-v1 body:
 //
-//	[0:8]   int64 trace ID (ids.RequestID)
-//	[8:16]  uint64 span ID
-//	[16:]   a binary-v1 body (kind + payload as above)
-//
-// Tenant binary (tag 3) body layout — the tenant slot ahead of the trace
-// slot, claimed per the same versioning rule when tenancy landed:
-//
-//	[0:4]   int32 tenant ID (ids.TenantID)
-//	[4:12]  int64 trace ID (ids.RequestID; zero = untraced)
-//	[12:20] uint64 span ID (zero = untraced)
-//	[20:]   a binary-v1 body (kind + payload as above)
+//	tag 1:  (none)
+//	tag 2:  [0:8] int64 trace ID (ids.RequestID) | [8:16] uint64 span ID
+//	tag 3:  [0:4] int32 tenant ID (ids.TenantID) | [4:20] the tag-2 trace slot
 //
 // A tag-3 frame always carries both slots: a connection stamped with a
-// tenant (Conn.SetTenant) sends every eligible frame as tag 3 whether or
-// not it is traced, with a zero trace slot meaning "untraced", so the
-// data plane never branches per frame on trace presence.
+// tenant (Conn.SetTenant) sends every frame as tag 3 whether or not it is
+// traced, with a zero trace slot meaning "untraced", so the data plane
+// never branches per frame on trace presence.
 //
-// ShardBeat, ShardMirror and ShardHandoff have no binary layout and stay
-// on gob (which carries the trace slot and tenant as optional Msg fields
-// instead). Versioning: a layout, once shipped, never changes in place —
-// a change claims a new codec tag (as the trace slot did with tag 2 and
-// the tenant slot with tag 3), so mixed-version peers fail with a typed
-// CodecError instead of silently misparsing. Giving an uncovered kind its
-// first layout is not a layout change: the kind joins v1 (and tags 2 and
-// 3), and a reader that predates it rejects it by kind with the same
-// CodecError it returns for every uncovered kind.
+// Versioning — reject by tag, with no lingua franca: a layout, once
+// shipped, never changes in place. A change claims a new codec tag (as
+// the trace slot did with tag 2 and the tenant slot with tag 3), so a
+// peer that predates it fails with a typed CodecError instead of
+// silently misparsing. A new kind joins v1 (and tags 2 and 3), and a
+// reader that predates it rejects it by kind with the same CodecError.
+// Tag 0, the reflective gob envelope older peers sent, is such an
+// unknown tag now.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
-// sync.Pool. On the read side, a fast-path FileChunk's Data slice points
-// INTO the pooled frame buffer; the Msg carries the loan and Msg.Release
-// returns it. See Msg.Release for the contract.
+// sync.Pool. On the read side, a FileChunk's Data slice points INTO the
+// pooled frame buffer; the Msg carries the loan and Msg.Release returns
+// it. See Msg.Release for the contract.
 package wire
 
 import (
@@ -96,7 +90,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
@@ -109,48 +102,59 @@ import (
 // header).
 type Codec uint8
 
-// The wire codecs. CodecGob is the universal fallback; CodecBinary is
-// fast-path binary v1; CodecBinaryTraced is binary v1 carrying a
-// 16-byte trace slot ahead of the kind field; CodecBinaryTenant is
-// binary v1 carrying a 4-byte tenant slot and the 16-byte trace slot
-// (see below). Per the versioning rule, each slot got its own tag
-// instead of mutating v1's layout in place.
+// The wire codecs: binary v1 with no slots, with the trace slot, and
+// with the tenant and trace slots. Per the versioning rule each slot got
+// its own tag instead of mutating v1's layout in place.
 const (
-	CodecGob          Codec = 0
 	CodecBinary       Codec = 1
 	CodecBinaryTraced Codec = 2
 	CodecBinaryTenant Codec = 3
 )
 
+// codecNames holds the names Codec.String and the frame counters use.
+var codecNames = [...]string{
+	CodecBinary:       "binary",
+	CodecBinaryTraced: "binary-traced",
+	CodecBinaryTenant: "binary-tenant",
+}
+
 // String implements fmt.Stringer for diagnostics.
 func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	case CodecBinaryTraced:
-		return "binary-traced"
-	case CodecBinaryTenant:
-		return "binary-tenant"
+	if int(c) < len(codecNames) && codecNames[c] != "" {
+		return codecNames[c]
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
 
-// CodecError reports a frame that could not be decoded — or would not be
-// accepted — under the codec its header declares: an unknown codec tag, a
-// binary frame sent to a gob-only endpoint, a kind the binary codec does
-// not cover, or a body whose length contradicts the kind's fixed layout.
-// Match it with
+// slotSize returns the slot bytes a codec tag declares ahead of the
+// binary-v1 body, and false for a tag this reader does not know.
+func slotSize(c Codec) (int, bool) {
+	switch c {
+	case CodecBinary:
+		return 0, true
+	case CodecBinaryTraced:
+		return traceSize, true
+	case CodecBinaryTenant:
+		return tenantSize + traceSize, true
+	}
+	return 0, false
+}
+
+// CodecError reports a frame that could not be encoded, or could not be
+// decoded under the codec its header declares: a (kind, payload) pair
+// with no binary layout on the write side; an unknown codec tag, a kind
+// the reader does not know, or a body whose length contradicts the
+// kind's layout on the read side. Match it with
 //
 //	var ce *wire.CodecError
 //	if errors.As(err, &ce) { ... }
 //
-// The connection is still frame-synchronized after a CodecError (the
-// whole body was consumed), but callers should treat it as a protocol
-// mismatch and drop the connection.
+// A write that fails with a CodecError sends nothing. A read that fails
+// with one leaves the connection frame-synchronized (the whole body was
+// consumed), but callers should treat it as a protocol mismatch and drop
+// the connection.
 type CodecError struct {
-	// Codec is the tag the offending frame declared.
+	// Codec is the tag the offending frame declared (or would have).
 	Codec Codec
 	// Kind is the message kind, when the decoder got far enough to read
 	// it (zero otherwise).
@@ -167,28 +171,6 @@ func (e *CodecError) Error() string {
 	return fmt.Sprintf("wire: codec %v: %s", e.Codec, e.Reason)
 }
 
-// defaultFastPath and defaultAcceptBinary seed every NewConn from the
-// build-tag default (see fastpath_on.go / fastpath_off.go). Tests and
-// benchmarks flip the write-side default to measure the gob baseline.
-var (
-	defaultFastPath     atomic.Bool
-	defaultAcceptBinary atomic.Bool
-)
-
-func init() {
-	defaultFastPath.Store(buildFastPath)
-	defaultAcceptBinary.Store(buildFastPath)
-}
-
-// SetDefaultFastPath sets whether connections created from now on encode
-// eligible frames with the binary codec (true, the non-gobonly build
-// default) or keep everything on gob (false). It returns the previous
-// default. Existing connections are unaffected; read-side acceptance is
-// untouched. It exists for baseline benchmarks and build-parity tests.
-func SetDefaultFastPath(on bool) (prev bool) {
-	return defaultFastPath.Swap(on)
-}
-
 // frame geometry.
 const (
 	// headerSize is the fixed frame prelude: 4-byte big-endian body
@@ -197,24 +179,18 @@ const (
 	headerSize = 5
 	// kindSize is the binary-codec kind field at the start of the body.
 	kindSize = 2
-	// traceSize is the fixed trace slot a CodecBinaryTraced body starts
-	// with: trace ID (int64, an ids.RequestID) + span ID (uint64), both
-	// big-endian. The slot precedes the kind field, so the rest of the
-	// body is exactly a binary-v1 body.
+	// traceSize is the trace slot tags 2 and 3 carry: trace ID (int64,
+	// an ids.RequestID) + span ID (uint64), both big-endian.
 	traceSize = 16
-	// tenantSize is the fixed tenant slot a CodecBinaryTenant body
-	// starts with: the tenant ID (int32), big-endian, ahead of the trace
-	// slot.
+	// tenantSize is the tenant slot tag 3 carries ahead of the trace
+	// slot: the tenant ID (int32), big-endian.
 	tenantSize = 4
-	// chunkPrefixLen is everything in a binary FileChunk frame before
-	// the data bytes: header + kind + offset.
-	chunkPrefixLen = headerSize + kindSize + 8
-	// tracedChunkPrefixLen is the same prefix with the trace slot
-	// between the header and the kind field (tag 2 frames).
+	// tracedChunkPrefixLen is everything in a tag-2 FileChunk frame
+	// before the data bytes: header, trace slot, kind and offset.
 	tracedChunkPrefixLen = headerSize + traceSize + kindSize + 8
-	// tenantChunkPrefixLen is the tag-3 prefix: tenant slot, then trace
-	// slot, then kind + offset.
-	tenantChunkPrefixLen = headerSize + tenantSize + traceSize + kindSize + 8
+	// maxChunkPrefixLen is the longest chunk prefix, tag 3's: the tenant
+	// slot on top of tracedChunkPrefixLen.
+	maxChunkPrefixLen = tenantSize + tracedChunkPrefixLen
 )
 
 // bufPool recycles frame-sized scratch buffers across Write and Read.
@@ -244,17 +220,16 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// chunkPool recycles the FileChunk payload structs the fast-path decoder
-// hands out, so a steady-state stream loop performs zero allocations per
+// chunkPool recycles the FileChunk payload structs the decoder hands
+// out, so a steady-state stream loop performs zero allocations per
 // chunk. Msg.Release feeds it.
 var chunkPool = sync.Pool{New: func() any { return new(FileChunk) }}
 
-// readReqPool recycles the ReadFile structs ranged fast-path requests
-// decode into: a striped read issues one request per segment, so the
-// request decode must stay off the per-segment allocation budget the
-// same way chunks do. Msg.Release feeds it. Legacy 28-byte bodies keep
-// decoding to a plain ReadFile value (callers compare those payloads by
-// interface equality).
+// readReqPool recycles the ReadFile structs ranged requests decode into:
+// a striped read issues one request per segment, so the request decode
+// must stay off the per-segment allocation budget the same way chunks
+// do. Msg.Release feeds it. Whole-file (28-byte) bodies decode to a
+// plain ReadFile value.
 var readReqPool = sync.Pool{New: func() any { return new(ReadFile) }}
 
 // chunkFrame is the reusable scratch for a single-writev chunk write: the
@@ -265,117 +240,75 @@ var readReqPool = sync.Pool{New: func() any { return new(ReadFile) }}
 // the slice it writes (advancing it to zero length AND zero capacity) —
 // an append into the consumed slice would reallocate per call.
 type chunkFrame struct {
-	prefix [tenantChunkPrefixLen]byte
+	prefix [maxChunkPrefixLen]byte
 	arr    [2][]byte
 	bufs   net.Buffers
 }
 
 var chunkFramePool = sync.Pool{New: func() any { return new(chunkFrame) }}
 
-// WriteChunk sends one FileChunk frame. On the fast path it is the
-// zero-allocation hot loop of every data stream: the 15-byte prefix and
-// the caller's data slice go out as a single writev (net.Buffers), so
-// each chunk costs one syscall and zero copies. data is only read, never
-// retained, so the caller may reuse its buffer immediately. With the fast
-// path disabled it degrades to the gob frame Write would produce.
-func (c *Conn) WriteChunk(offset int64, data []byte) error {
-	if !c.fastWrite.Load() {
-		return c.writeGob(KindFileChunk, FileChunk{Offset: offset, Data: data})
+// appendHeader appends a frame header — a length placeholder the caller
+// fills once the body is built, and the codec tag — followed by the
+// slots that tag declares. The tag follows the connection and the span
+// context: tag 3 on a tenant-stamped connection (trace slot zero when
+// untraced), else tag 2 when tc is valid, else tag 1.
+func (c *Conn) appendHeader(b []byte, tc trace.SpanContext) ([]byte, Codec) {
+	codec, t := CodecBinary, c.tenantID()
+	switch {
+	case t.Valid():
+		codec = CodecBinaryTenant
+	case tc.Valid():
+		codec = CodecBinaryTraced
 	}
-	if t := c.tenantID(); t.Valid() {
-		return c.writeChunkTenant(t, trace.SpanContext{}, offset, data)
+	b = append(b, 0, 0, 0, 0, byte(codec))
+	switch codec {
+	case CodecBinaryTenant:
+		b = put32(b, uint32(t))
+		fallthrough
+	case CodecBinaryTraced:
+		b = put64(b, uint64(tc.Trace))
+		b = put64(b, tc.Span)
 	}
-	body := kindSize + 8 + len(data)
-	if body > MaxFrame {
-		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
-	}
-	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinary)
-	binary.BigEndian.PutUint16(f.prefix[5:7], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[7:15], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:chunkPrefixLen], data); err != nil {
-		return err
-	}
-	codecMet.Load().txBinary.Inc()
-	return nil
+	return b, codec
 }
 
-// WriteChunkTraced is WriteChunk with the span context tc in the frame's
-// trace slot (codec tag 2), so the serving RM's stream span and the
-// client's segment span share one trace. A zero tc degrades to the
-// untraced WriteChunk; the traced path keeps the zero-allocation
-// single-writev contract (the trace slot lives in the pooled prefix).
-func (c *Conn) WriteChunkTraced(tc trace.SpanContext, offset int64, data []byte) error {
-	if !tc.Valid() {
-		return c.WriteChunk(offset, data)
-	}
-	if !c.fastWrite.Load() {
-		return c.writeGobMsg(Msg{Kind: KindFileChunk, Payload: FileChunk{Offset: offset, Data: data}, Trace: tc})
-	}
-	if t := c.tenantID(); t.Valid() {
-		return c.writeChunkTenant(t, tc, offset, data)
-	}
-	body := traceSize + kindSize + 8 + len(data)
+// WriteChunk sends one FileChunk frame carrying the span context tc (zero
+// for untraced) and the connection's tenant in the slots its tag
+// declares. It is the zero-allocation hot loop of every data stream: the
+// prefix is built in a pooled scratch and goes out with the caller's
+// data slice as a single writev (net.Buffers), so each chunk costs one
+// syscall and zero copies. data is only read, never retained, so the
+// caller may reuse its buffer immediately.
+func (c *Conn) WriteChunk(tc trace.SpanContext, offset int64, data []byte) error {
+	f := chunkFramePool.Get().(*chunkFrame)
+	prefix, codec := c.appendHeader(f.prefix[:0], tc)
+	prefix = put16(prefix, uint16(KindFileChunk))
+	prefix = put64(prefix, uint64(offset))
+	body := len(prefix) - headerSize + len(data)
 	if body > MaxFrame {
+		chunkFramePool.Put(f)
 		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
 	}
-	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinaryTraced)
-	binary.BigEndian.PutUint64(f.prefix[5:13], uint64(int64(tc.Trace)))
-	binary.BigEndian.PutUint64(f.prefix[13:21], tc.Span)
-	binary.BigEndian.PutUint16(f.prefix[21:23], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[23:31], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:tracedChunkPrefixLen], data); err != nil {
+	binary.BigEndian.PutUint32(prefix[:4], uint32(body))
+	if err := c.writevChunk(f, prefix, data); err != nil {
 		return err
 	}
-	codecMet.Load().txTraced.Inc()
+	codecMet.Load().tx[codec].Inc()
 	return nil
 }
 
 // WriteReadReq sends one (possibly ranged) ReadFile request. It is the
-// per-segment control frame of a striped read, so the fast path keeps it
-// at zero allocations: the payload rides a pooled *ReadFile, and boxing a
-// pointer into the payload interface does not allocate the way boxing the
-// 5-field struct value would. A zero tc degrades to the untraced frame;
-// with the fast path disabled it degrades to the gob frame Write would
-// produce (gob sees the plain value — pointers need no registration).
+// per-segment control frame of a striped read, so it stays at zero
+// allocations: the payload rides a pooled *ReadFile, and boxing a
+// pointer into the payload interface does not allocate the way boxing
+// the 5-field struct value would. A zero tc sends an untraced frame.
 func (c *Conn) WriteReadReq(tc trace.SpanContext, req ReadFile) error {
-	if !c.fastWrite.Load() {
-		return c.writeGobMsg(Msg{Kind: KindReadFile, Payload: req, Trace: tc})
-	}
 	rq := readReqPool.Get().(*ReadFile)
 	*rq = req
 	err := c.WriteTraced(tc, KindReadFile, rq)
 	*rq = ReadFile{}
 	readReqPool.Put(rq)
 	return err
-}
-
-// writeChunkTenant sends one FileChunk frame under codec tag 3: the
-// tenant slot, the trace slot (zero when untraced), then the binary-v1
-// chunk body. Same pooled single-writev discipline as the untagged
-// paths, so a tenant-stamped connection's data plane stays at zero
-// allocations per chunk.
-func (c *Conn) writeChunkTenant(t ids.TenantID, tc trace.SpanContext, offset int64, data []byte) error {
-	body := tenantSize + traceSize + kindSize + 8 + len(data)
-	if body > MaxFrame {
-		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
-	}
-	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinaryTenant)
-	binary.BigEndian.PutUint32(f.prefix[5:9], uint32(int32(t)))
-	binary.BigEndian.PutUint64(f.prefix[9:17], uint64(int64(tc.Trace)))
-	binary.BigEndian.PutUint64(f.prefix[17:25], tc.Span)
-	binary.BigEndian.PutUint16(f.prefix[25:27], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[27:35], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:tenantChunkPrefixLen], data); err != nil {
-		return err
-	}
-	codecMet.Load().txTenant.Inc()
-	return nil
 }
 
 // writevChunk pushes prefix+data as a single writev under the write lock
@@ -400,8 +333,8 @@ func (c *Conn) writevChunk(f *chunkFrame, prefix, data []byte) error {
 }
 
 // appendBinary appends the binary-v1 body (kind + payload) for one
-// eligible (kind, payload) pair to b. It reports false when the pair is
-// not fast-path encodable, leaving b's length unchanged. The payload's
+// (kind, payload) pair to b. It reports false when the pair has no
+// layout, leaving b's length unchanged. The payload's
 // dynamic type selects the layout and must be the one decodeBinary
 // returns for kind, so the two stay each other's inverse.
 func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
@@ -465,10 +398,7 @@ func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 		b = putIDs(b, p.RMs)
 	case RMInfoList:
 		ok = kind == KindRMInfoList
-		b = put32(b, uint32(len(p.Infos)))
-		for _, in := range p.Infos {
-			b = putRMInfo(b, in)
-		}
+		b = putRMInfos(b, p.Infos)
 	case Count:
 		ok = kind == KindCount
 		b = put64(b, uint64(p.N))
@@ -528,6 +458,32 @@ func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 		ok = kind == KindFinishReplica
 		b = put64(b, uint64(p.Replication))
 		b = putBool(b, p.Committed)
+	case ShardBeat:
+		ok = kind == KindShardBeat
+		b = put32(b, uint32(p.Shard))
+	case ShardMirror:
+		ok = kind == KindShardMirror
+		b = putStr(b, p.Op)
+		b = put32(b, uint32(p.File))
+		b = put32(b, uint32(p.RM))
+		b = put64(b, uint64(p.MaxTotal))
+		b = putBool(b, p.Commit)
+	case ShardHandoff:
+		ok = kind == KindShardHandoff
+		b = put32(b, uint32(p.From))
+		b = putStr(b, p.Direction)
+		b = putRMInfos(b, p.Infos)
+		b = put32(b, uint32(len(p.Entries)))
+		for _, e := range p.Entries {
+			b = put32(b, uint32(e.File))
+			b = putIDs(b, e.RMs)
+		}
+	case FileChunk:
+		// Write sends chunks through WriteChunk's writev; this copying
+		// form serves WriteTorn.
+		ok = kind == KindFileChunk
+		b = put64(b, uint64(p.Offset))
+		b = append(b, p.Data...)
 	}
 	if !ok {
 		return b[:start], false
@@ -577,6 +533,15 @@ func putRMInfo(b []byte, in ecnp.RMInfo) []byte {
 	b = putF64(b, float64(in.Capacity))
 	b = put64(b, uint64(in.StorageBytes))
 	return putStr(b, in.Addr)
+}
+
+// putRMInfos writes a u32 element count followed by each RMInfo.
+func putRMInfos(b []byte, s []ecnp.RMInfo) []byte {
+	b = put32(b, uint32(len(s)))
+	for _, in := range s {
+		b = putRMInfo(b, in)
+	}
+	return b
 }
 
 // putIDs writes a u32 element count followed by each 32-bit id.
@@ -670,7 +635,7 @@ func (r *reader) rmInfo() ecnp.RMInfo {
 }
 
 // readIDs reads a counted slice of 32-bit ids. A zero count decodes to
-// nil, as gob decodes an empty slice.
+// nil.
 func readIDs[T ~int32](r *reader) []T {
 	n := r.count(4)
 	if n == 0 {
@@ -679,6 +644,20 @@ func readIDs[T ~int32](r *reader) []T {
 	s := make([]T, n)
 	for i := range s {
 		s[i] = T(r.i32())
+	}
+	return s
+}
+
+// shardEntries reads a counted ShardEntry slice (nil for a zero count).
+// An entry is at least a file id and an empty replica list's count.
+func (r *reader) shardEntries() []ShardEntry {
+	n := r.count(4 + 4)
+	if n == 0 {
+		return nil
+	}
+	s := make([]ShardEntry, n)
+	for i := range s {
+		s[i] = ShardEntry{File: r.fileID(), RMs: readIDs[ids.RMID](r)}
 	}
 	return s
 }
@@ -701,10 +680,9 @@ func (r *reader) rmInfos() []ecnp.RMInfo {
 // backing body; when the decoded payload borrows from it (FileChunk keeps
 // its Data in place instead of copying), the returned Msg carries the
 // loan and retained is true — the caller must NOT putBuf it, Msg.Release
-// will. Every other payload is copied out, and is the same value type
-// the gob codec decodes for that kind. Hostile input (short or long
-// bodies, oversized counts, bool bytes other than 0/1, kinds the codec
-// does not cover) yields a typed *CodecError, never a panic.
+// will. Every other payload is copied out. Hostile input (short or long
+// bodies, oversized counts, bool bytes other than 0/1, non-canonical
+// forms, unknown kinds) yields a typed *CodecError, never a panic.
 func decodeBinary(codec Codec, body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 	if len(body) < kindSize {
 		return Msg{}, false, &CodecError{Codec: codec, Reason: "body shorter than kind field"}
@@ -740,9 +718,16 @@ func decodeBinary(codec Codec, body []byte, bp *[]byte) (msg Msg, retained bool,
 		case 0: // legacy whole-file layout: decode to a plain value
 			v = rf
 		case 8: // ranged layout with the trailing length field
+			n := r.i64()
+			if n <= 0 {
+				// The encoder writes the length only when positive, so
+				// this body has no canonical form.
+				return Msg{}, false, &CodecError{Codec: codec, Kind: kind,
+					Reason: fmt.Sprintf("ranged length %d is not positive", n)}
+			}
 			rq := readReqPool.Get().(*ReadFile)
 			*rq = rf
-			rq.Length = r.i64()
+			rq.Length = n
 			return Msg{Kind: kind, Payload: rq, rreq: rq}, false, nil
 		default:
 			return badLen()
@@ -832,8 +817,14 @@ func decodeBinary(codec Codec, body []byte, bp *[]byte) (msg Msg, retained bool,
 		v = OfferReply{Accepted: r.flag()}
 	case KindFinishReplica:
 		v = FinishReplica{Replication: ids.ReplicationID(r.i64()), Committed: r.flag()}
+	case KindShardBeat:
+		v = ShardBeat{Shard: r.i32()}
+	case KindShardMirror:
+		v = ShardMirror{Op: r.str(), File: r.fileID(), RM: r.rmID(), MaxTotal: int(r.i64()), Commit: r.flag()}
+	case KindShardHandoff:
+		v = ShardHandoff{From: r.i32(), Direction: r.str(), Infos: r.rmInfos(), Entries: r.shardEntries()}
 	default:
-		return Msg{}, false, &CodecError{Codec: codec, Kind: kind, Reason: "kind not covered by the binary codec"}
+		return Msg{}, false, &CodecError{Codec: codec, Kind: kind, Reason: "unknown kind"}
 	}
 	if r.bad || len(r.p) != 0 {
 		return badLen()

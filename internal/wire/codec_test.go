@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/selection"
+	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
 )
 
@@ -30,8 +32,8 @@ func binaryBody(kind Kind, payload []byte) []byte {
 }
 
 func TestFastPathFramesCarryBinaryTag(t *testing.T) {
-	// Every eligible kind must leave a fast-path connection with the
-	// binary codec tag and round-trip intact.
+	// Every data-plane kind must leave a connection with the binary codec
+	// tag and round-trip intact.
 	cases := []struct {
 		kind Kind
 		body any
@@ -43,20 +45,18 @@ func TestFastPathFramesCarryBinaryTag(t *testing.T) {
 		{KindError, Error{Text: "disk exploded"}},
 		{KindHeartbeat, Heartbeat{RM: 5}},
 		{KindKeepalive, Keepalive{Request: 41}},
+		{KindShardBeat, ShardBeat{Shard: 2}},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		c := NewConn(&buf)
-		c.SetFastPath(true)
 		if err := c.Write(tc.kind, tc.body); err != nil {
 			t.Fatalf("%v: %v", tc.kind, err)
 		}
 		if got := Codec(buf.Bytes()[4]); got != CodecBinary {
 			t.Errorf("%v went out as %v, want binary", tc.kind, got)
 		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true) // decode must work even under a gobonly default
-		msg, err := r.Read()
+		msg, err := NewConn(&buf).Read()
 		if err != nil {
 			t.Fatalf("%v: decode: %v", tc.kind, err)
 		}
@@ -70,13 +70,10 @@ func TestFastPathFramesCarryBinaryTag(t *testing.T) {
 	// Negative offsets and ids survive the unsigned wire layout.
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	c.SetFastPath(true)
-	if err := c.WriteChunk(-1, []byte{9}); err != nil {
+	if err := c.WriteChunk(trace.SpanContext{}, -1, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
-	msg, err := r.Read()
+	msg, err := NewConn(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,136 +84,129 @@ func TestFastPathFramesCarryBinaryTag(t *testing.T) {
 	msg.Release()
 }
 
-func TestIneligibleKindsStayOnGob(t *testing.T) {
-	// The shard-group kinds have no binary layout: a fast-path
-	// connection must fall back to gob for them.
+// TestDefaultBuildUsesFastPath pins that a fresh connection needs no
+// opt-in: its chunks go out binary and a fresh reader accepts them.
+func TestDefaultBuildUsesFastPath(t *testing.T) {
 	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetFastPath(true)
-	if err := c.Write(KindShardMirror, ShardMirror{Op: "AddReplica", File: 2, RM: 1}); err != nil {
+	if err := NewConn(&buf).WriteChunk(trace.SpanContext{}, 0, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("shard-group frame went out as %v, want gob", got)
+	if got := Codec(buf.Bytes()[4]); got != CodecBinary {
+		t.Fatalf("chunk went out as %v", got)
 	}
-	if _, err := NewConn(&buf).Read(); err != nil {
-		t.Fatal(err)
+	msg, err := NewConn(&buf).Read()
+	if err != nil {
+		t.Fatalf("rejected its own binary frame: %v", err)
+	}
+	if ch, ok := msg.Chunk(); !ok || string(ch.Data) != "hot" {
+		t.Fatalf("chunk mangled: %+v", msg.Payload)
+	}
+	msg.Release()
+}
+
+// TestWriteWithoutLayoutSendsNothing: a (kind, payload) pair the binary
+// codec has no layout for fails with a typed *CodecError naming the kind,
+// and not one byte reaches the stream.
+func TestWriteWithoutLayoutSendsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		kind    Kind
+		payload any
+	}{
+		{KindShardMirror, ShardBeat{Shard: 1}},
+		{KindFileChunk, FileEnd{}},
+		{Kind(999), Ack{}},
+		{KindCFP, struct{ X int }{1}},
+	} {
+		var buf bytes.Buffer
+		c := NewConn(&buf)
+		c.SetTenant(3)
+		err := c.WriteTraced(testTC, tc.kind, tc.payload)
+		var ce *CodecError
+		if !errors.As(err, &ce) || ce.Kind != tc.kind || ce.Codec != CodecBinaryTenant {
+			t.Errorf("%v with %T: err = %v, want a CodecError naming the kind", tc.kind, tc.payload, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v with %T: %d bytes reached the stream", tc.kind, tc.payload, buf.Len())
+		}
 	}
 }
 
+// gobEnvelope is the frame body a peer that predates the binary-only
+// wire sent under tag 0: a gob-encoded {Kind, Payload} envelope. Tests
+// build it to impersonate such a peer.
+func gobEnvelope(t *testing.T, kind Kind, payload any) []byte {
+	t.Helper()
+	gob.Register(payload)
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(struct {
+		Kind    Kind
+		Payload any
+	}{kind, payload}); err != nil {
+		t.Fatal(err)
+	}
+	return body.Bytes()
+}
+
 // negotiationFrames is the ECNP round a DFSC drives against one RM —
-// CFP, Bid, Open — as the interop tests send it.
+// CFP, Bid, Open — as the version-skew tests send it.
 var negotiationFrames = []struct {
 	kind    Kind
 	payload any
 }{
 	{KindCFP, ecnp.CFP{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60, Tenant: 3}},
 	{KindBid, selection.Bid{RM: 4, Rem: units.Mbps(-1), Trend: 0.5, OccBias: 0.25, Req: units.Mbps(2), HasReplica: true}},
-	{KindOpen, ecnp.OpenRequest{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60, Firm: true, Tenant: 3}},
-}
-
-func TestFastWriterRejectedByGobOnlyReader(t *testing.T) {
-	// Satellite interop contract: a fast-path writer talking to an
-	// endpoint that does not accept binary frames (a gobonly build) must
-	// fail with a typed *CodecError, not garbage or a panic — for the
-	// data plane and for every negotiation frame alike.
-	var buf bytes.Buffer
-	w := NewConn(&buf)
-	w.SetFastPath(true)
-	if err := w.WriteChunk(0, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range negotiationFrames {
-		if err := w.Write(f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(false)
-	for i := 0; i <= len(negotiationFrames); i++ {
-		_, err := r.Read()
-		var ce *CodecError
-		if !errors.As(err, &ce) {
-			t.Fatalf("frame %d: rejection not a CodecError: %v", i, err)
-		}
-		if ce.Codec != CodecBinary {
-			t.Fatalf("frame %d: rejected codec %v, want binary", i, ce.Codec)
-		}
-		if !strings.Contains(ce.Error(), "not accepted") {
-			t.Fatalf("frame %d: unhelpful rejection: %q", i, ce.Error())
-		}
-	}
+	{KindOpen, ecnp.OpenRequest{Request: 1, File: 2, Bitrate: units.Mbps(2), DurationSec: 60, Firm: true}},
 }
 
 func TestGobWriterReadByFastReader(t *testing.T) {
-	// The reverse direction: a gob-pinned writer (legacy peer) must
-	// interoperate transparently with a fast-path reader, including for
-	// kinds that are binary-eligible.
+	// A gob-speaking peer (tag 0, the codec older builds sent) meets the
+	// binary-only reader: every one of its frames — data plane and
+	// negotiation alike — fails with a typed *CodecError naming tag 0,
+	// never a misparse. The whole body is consumed, so the stream stays
+	// frame-synchronized and a binary frame behind them still decodes.
 	var buf bytes.Buffer
-	w := NewConn(&buf)
-	w.SetFastPath(false)
-	data := []byte("gob-framed chunk")
-	if err := w.WriteChunk(512, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(KindFileEnd, FileEnd{Size: 16, Checksum: 0xabc}); err != nil {
-		t.Fatal(err)
-	}
+	writeRawFrame(&buf, Codec(0), gobEnvelope(t, KindFileChunk, FileChunk{Offset: 512, Data: []byte("gob-framed chunk")}))
 	for _, f := range negotiationFrames {
-		if err := w.Write(f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
+		writeRawFrame(&buf, Codec(0), gobEnvelope(t, f.kind, f.payload))
 	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("pinned writer emitted %v", got)
+	if err := NewConn(&buf).Write(KindFileEnd, FileEnd{Size: 16, Checksum: 0xabc}); err != nil {
+		t.Fatal(err)
 	}
 	r := NewConn(&buf)
-	msg, err := r.Read()
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i <= len(negotiationFrames); i++ {
+		_, err := r.Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) || ce.Codec != 0 || !strings.Contains(ce.Reason, "unknown codec tag") {
+			t.Fatalf("gob frame %d: err = %v, want CodecError{codec(0), unknown codec tag}", i, err)
+		}
 	}
-	ch, ok := msg.Chunk()
-	if !ok || ch.Offset != 512 || !bytes.Equal(ch.Data, data) {
-		t.Fatalf("gob chunk mangled: %+v", msg.Payload)
-	}
-	msg.Release() // no-op on gob messages, must be safe
 	end, err := r.Read()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("binary frame after the refused gob frames: %v", err)
 	}
 	if fe, ok := end.Payload.(FileEnd); !ok || fe.Checksum != 0xabc {
-		t.Fatalf("gob FileEnd mangled: %+v", end.Payload)
-	}
-	for _, f := range negotiationFrames {
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("%v: %v", f.kind, err)
-		}
-		if msg.Kind != f.kind || msg.Payload != f.payload {
-			t.Fatalf("gob %v mangled: %v %#v", f.kind, msg.Kind, msg.Payload)
-		}
+		t.Fatalf("FileEnd mangled: %+v", end.Payload)
 	}
 }
 
 func TestMixedCodecInterleave(t *testing.T) {
-	// Gob frames (shard-group control) and binary frames (negotiation and
-	// data) interleaved on one stream must all decode: per-frame codec
-	// tags, no shared state, no decoder poisoning in either direction.
+	// Shard-group control, negotiation and data frames, plain and traced,
+	// interleaved on one stream must all decode: per-frame codec tags, no
+	// shared state, no decoder poisoning in either direction.
 	var buf bytes.Buffer
 	w := NewConn(&buf)
-	w.SetFastPath(true)
 	chunk0 := []byte("first chunk")
 	chunk1 := []byte("second chunk")
 	if err := w.Write(KindShardMirror, ShardMirror{Op: "AddReplica", File: 2, RM: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteChunk(0, chunk0); err != nil {
+	if err := w.WriteChunk(trace.SpanContext{}, 0, chunk0); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(KindOpen, ecnp.OpenRequest{Request: 1, File: 2}); err != nil {
+	if err := w.WriteTraced(testTC, KindOpen, ecnp.OpenRequest{Request: 1, File: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteChunk(int64(len(chunk0)), chunk1); err != nil {
+	if err := w.WriteChunk(testTC, int64(len(chunk0)), chunk1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Write(KindFileEnd, FileEnd{Size: int64(len(chunk0) + len(chunk1))}); err != nil {
@@ -224,7 +214,6 @@ func TestMixedCodecInterleave(t *testing.T) {
 	}
 
 	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
 	wantKinds := []Kind{KindShardMirror, KindFileChunk, KindOpen, KindFileChunk, KindFileEnd}
 	var got []byte
 	for i, want := range wantKinds {
@@ -246,15 +235,19 @@ func TestMixedCodecInterleave(t *testing.T) {
 }
 
 func TestUnknownCodecTagRejected(t *testing.T) {
-	var buf bytes.Buffer
-	writeRawFrame(&buf, Codec(7), []byte{1, 2, 3})
-	_, err := NewConn(&buf).Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) {
-		t.Fatalf("unknown tag not a CodecError: %v", err)
-	}
-	if ce.Codec != Codec(7) || !strings.Contains(ce.Reason, "unknown codec") {
-		t.Fatalf("misreported: %+v", ce)
+	// Tag 0 is the gob envelope older peers sent; 4 and up were never
+	// assigned.
+	for _, tag := range []Codec{0, 4, 7, 255} {
+		var buf bytes.Buffer
+		writeRawFrame(&buf, tag, []byte{1, 2, 3})
+		_, err := NewConn(&buf).Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Fatalf("tag %d: not a CodecError: %v", tag, err)
+		}
+		if ce.Codec != tag || !strings.Contains(ce.Reason, "unknown codec") {
+			t.Fatalf("tag %d: misreported: %+v", tag, ce)
+		}
 	}
 }
 
@@ -274,15 +267,13 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		{"ack with payload", binaryBody(KindAck, []byte{1}), KindAck},
 		{"heartbeat wrong len", binaryBody(KindHeartbeat, make([]byte, 5)), KindHeartbeat},
 		{"keepalive wrong len", binaryBody(KindKeepalive, make([]byte, 7)), KindKeepalive},
-		{"uncovered kind", binaryBody(KindShardMirror, nil), KindShardMirror},
+		{"shard mirror empty", binaryBody(KindShardMirror, nil), KindShardMirror},
 		{"unknown kind", binaryBody(Kind(999), nil), Kind(999)},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		writeRawFrame(&buf, CodecBinary, tc.body)
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		_, err := r.Read()
+		_, err := NewConn(&buf).Read()
 		var ce *CodecError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: not a CodecError: %v", tc.name, err)
@@ -297,9 +288,7 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 	for _, mc := range malformedControlBodies(t) {
 		var buf bytes.Buffer
 		writeRawFrame(&buf, CodecBinary, mc.body)
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		_, err := r.Read()
+		_, err := NewConn(&buf).Read()
 		var ce *CodecError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: not a CodecError: %v", mc.name, err)
@@ -333,13 +322,10 @@ func TestWriteTornEnforcesCap(t *testing.T) {
 func TestReleaseIdempotentAndNilsPayload(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewConn(&buf)
-	w.SetFastPath(true)
-	if err := w.WriteChunk(64, []byte("once")); err != nil {
+	if err := w.WriteChunk(trace.SpanContext{}, 64, []byte("once")); err != nil {
 		t.Fatal(err)
 	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
-	msg, err := r.Read()
+	msg, err := NewConn(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,23 +337,23 @@ func TestReleaseIdempotentAndNilsPayload(t *testing.T) {
 		t.Fatal("Payload survives Release — use-after-release would read recycled bytes silently")
 	}
 	msg.Release() // second release must be a no-op, not a double-Put
-	var gobMsg Msg
-	gobMsg.Release() // zero Msg release is safe too
+	var zero Msg
+	zero.Release() // zero Msg release is safe too
 }
 
 func TestCodecStatsObserveBothPaths(t *testing.T) {
-	tx0, txg0, rx0, rxg0 := CodecStats()
+	// Both directions count plain binary frames, shard-group control
+	// included; the gob counts stay at zero.
+	tx0, _, rx0, _ := CodecStats()
 	var buf bytes.Buffer
 	w := NewConn(&buf)
-	w.SetFastPath(true)
-	if err := w.WriteChunk(0, []byte("x")); err != nil {
+	if err := w.WriteChunk(trace.SpanContext{}, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Write(KindShardMirror, ShardMirror{Op: "AddReplica"}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
 	for i := 0; i < 2; i++ {
 		msg, err := r.Read()
 		if err != nil {
@@ -375,10 +361,10 @@ func TestCodecStatsObserveBothPaths(t *testing.T) {
 		}
 		msg.Release()
 	}
-	tx1, txg1, rx1, rxg1 := CodecStats()
-	if tx1 <= tx0 || txg1 <= txg0 || rx1 <= rx0 || rxg1 <= rxg0 {
-		t.Fatalf("counters did not all advance: tx %d→%d txGob %d→%d rx %d→%d rxGob %d→%d",
-			tx0, tx1, txg0, txg1, rx0, rx1, rxg0, rxg1)
+	tx1, txg, rx1, rxg := CodecStats()
+	if tx1-tx0 != 2 || rx1-rx0 != 2 || txg != 0 || rxg != 0 {
+		t.Fatalf("binary tx %d→%d rx %d→%d (want +2 each), gob tx %d rx %d (want 0)",
+			tx0, tx1, rx0, rx1, txg, rxg)
 	}
 }
 
@@ -432,33 +418,13 @@ func TestChecksumUnrolledMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestSetDefaultFastPathSeedsNewConns(t *testing.T) {
-	prev := SetDefaultFastPath(false)
-	defer SetDefaultFastPath(prev)
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	if err := c.WriteChunk(0, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("conn created under gob default emitted %v", got)
-	}
-	SetDefaultFastPath(true)
-	var buf2 bytes.Buffer
-	c2 := NewConn(&buf2)
-	if err := c2.WriteChunk(0, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if got := Codec(buf2.Bytes()[4]); got != CodecBinary {
-		t.Fatalf("conn created under fast default emitted %v", got)
-	}
-}
-
 func TestCodecString(t *testing.T) {
-	if CodecGob.String() != "gob" || CodecBinary.String() != "binary" {
-		t.Fatalf("codec names: %v %v", CodecGob, CodecBinary)
+	if CodecBinary.String() != "binary" {
+		t.Fatalf("codec name: %v", CodecBinary)
 	}
-	if got := Codec(9).String(); got != "codec(9)" {
-		t.Fatalf("unknown codec renders %q", got)
+	for tag, want := range map[Codec]string{0: "codec(0)", 9: "codec(9)"} {
+		if got := tag.String(); got != want {
+			t.Fatalf("unassigned tag %d renders %q, want %q", tag, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
@@ -15,19 +16,21 @@ import (
 	"dfsqos/internal/units"
 )
 
-// promotedKinds are the control kinds with a binary-v1 layout beyond the
-// data plane: every kind except the gob-only shard-group kinds.
+// promotedKinds are the kinds whose layouts the differential and
+// round-trip checks cover: the control plane, the shard-group kinds and
+// the dual-length ReadFile request.
 var promotedKinds = []Kind{
 	KindRegisterRM, KindLookup, KindRMsWithout, KindAddReplica,
 	KindRemoveReplica, KindBeginReplication, KindEndReplication,
 	KindReplicaCount, KindRMs, KindRMList, KindRMInfoList, KindCount,
 	KindCFP, KindBid, KindOpen, KindOpenResult, KindClose,
 	KindOfferReplica, KindOfferReply, KindFinishReplica, KindStoreFile,
+	KindReadFile, KindShardBeat, KindShardMirror, KindShardHandoff,
 }
 
 // controlCase is one (kind, payload) the differential tests send. want is
 // the payload the decoder must return when it differs from the one sent
-// (an empty slice decodes to nil on both codecs).
+// (an empty slice decodes to nil, a ranged ReadFile to a pointer).
 type controlCase struct {
 	name    string
 	kind    Kind
@@ -90,13 +93,26 @@ func controlCases() []controlCase {
 		{name: "offer reply yes", kind: KindOfferReply, payload: OfferReply{Accepted: true}},
 		{name: "offer reply no", kind: KindOfferReply, payload: OfferReply{}},
 		{name: "finish", kind: KindFinishReplica, payload: FinishReplica{Replication: math.MinInt64, Committed: true}},
+		{name: "read whole", kind: KindReadFile, payload: ReadFile{File: 7, ChunkSize: 64 << 10, Offset: 0, Request: 99}},
+		{name: "read ranged", kind: KindReadFile, payload: ReadFile{File: -7, ChunkSize: -1, Offset: math.MaxInt64, Request: math.MinInt64, Length: 1},
+			want: &ReadFile{File: -7, ChunkSize: -1, Offset: math.MaxInt64, Request: math.MinInt64, Length: 1}},
+		{name: "shard beat", kind: KindShardBeat, payload: ShardBeat{Shard: 2}},
+		{name: "shard beat negative", kind: KindShardBeat, payload: ShardBeat{Shard: math.MinInt32}},
+		{name: "shard mirror", kind: KindShardMirror, payload: ShardMirror{Op: "BeginReplication", File: 4, RM: 2, MaxTotal: 3}},
+		{name: "shard mirror hostile", kind: KindShardMirror, payload: ShardMirror{Op: odd, File: -1, RM: math.MaxInt32, MaxTotal: math.MinInt64, Commit: true}},
+		{name: "shard mirror empty", kind: KindShardMirror, payload: ShardMirror{}},
+		{name: "shard handoff", kind: KindShardHandoff, payload: ShardHandoff{From: 1, Direction: "takeover", Infos: []ecnp.RMInfo{info, oddInfo},
+			Entries: []ShardEntry{{File: 3, RMs: []ids.RMID{1, 3}}, {File: -2}, {File: math.MaxInt32, RMs: []ids.RMID{-1}}}}},
+		{name: "shard handoff empty", kind: KindShardHandoff, payload: ShardHandoff{Direction: "heal", Infos: []ecnp.RMInfo{}, Entries: []ShardEntry{{File: 1, RMs: []ids.RMID{}}}},
+			want: ShardHandoff{Direction: "heal", Entries: []ShardEntry{{File: 1}}}},
+		{name: "shard handoff nil", kind: KindShardHandoff, payload: ShardHandoff{From: -1}},
 	}
 }
 
 // equalPayload is reflect.DeepEqual, except that floats compare by bit
 // pattern (so a NaN equals the identical NaN) and, when signedZero is
 // false, −0 equals +0: gob omits a float field equal to zero, sign
-// included, so a gob peer receives −0 as +0.
+// included, so the gob reference decodes −0 as +0.
 func equalPayload(a, b any, signedZero bool) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
@@ -112,6 +128,8 @@ func equalValue(a, b reflect.Value, signedZero bool) bool {
 	case reflect.Float32, reflect.Float64:
 		x, y := a.Float(), b.Float()
 		return math.Float64bits(x) == math.Float64bits(y) || (!signedZero && x == 0 && y == 0)
+	case reflect.Pointer:
+		return a.IsNil() == b.IsNil() && (a.IsNil() || equalValue(a.Elem(), b.Elem(), signedZero))
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			if !equalValue(a.Field(i), b.Field(i), signedZero) {
@@ -146,22 +164,18 @@ var controlModes = []struct {
 	{"tenant", trace.SpanContext{Trace: 0x55aa, Span: 0x77}, 9, CodecBinaryTenant},
 }
 
-// sendControl writes one control frame under mode on a connection pinned
-// to fast (or gob), reads it back on a binary-accepting reader, and
+// sendControl writes one control frame under mode, reads it back, and
 // returns the message and the codec tag the frame carried.
-func sendControl(t *testing.T, fast bool, tc trace.SpanContext, tenant ids.TenantID, kind Kind, payload any) (Msg, Codec) {
+func sendControl(t *testing.T, tc trace.SpanContext, tenant ids.TenantID, kind Kind, payload any) (Msg, Codec) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewConn(&buf)
-	w.SetFastPath(fast)
 	w.SetTenant(tenant)
 	if err := w.WriteTraced(tc, kind, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	codec := Codec(buf.Bytes()[4])
-	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
-	msg, err := r.Read()
+	msg, err := NewConn(&buf).Read()
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -171,31 +185,57 @@ func sendControl(t *testing.T, fast bool, tc trace.SpanContext, tenant ids.Tenan
 	return msg, codec
 }
 
+// gobReference is the differential oracle: the payload after a gob
+// encode and decode, a reflective codec that shares no code with the
+// binary layouts.
+func gobReference(t *testing.T, payload any) any {
+	t.Helper()
+	if payload == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+		t.Fatalf("gob reference encode: %v", err)
+	}
+	v := reflect.New(reflect.TypeOf(payload))
+	if err := gob.NewDecoder(&buf).DecodeValue(v); err != nil {
+		t.Fatalf("gob reference decode: %v", err)
+	}
+	return v.Elem().Interface()
+}
+
+// valueOf returns a decoded payload as the value type the sender passed:
+// a ranged ReadFile decodes to a pooled pointer.
+func valueOf(p any) any {
+	if rf, ok := p.(*ReadFile); ok {
+		return *rf
+	}
+	return p
+}
+
 // TestControlCodecDifferential writes every promoted kind's payload table
-// once on the binary fast path and once on gob, untraced, traced and
-// tenant-stamped, and requires both decodes to agree with each other
-// and with the payload sent (floats bit for bit on the fast path).
+// on the binary codec, untraced, traced and tenant-stamped, and requires
+// each decode to agree with the gob reference decode of the payload and
+// with the payload sent (floats bit for bit).
 func TestControlCodecDifferential(t *testing.T) {
 	covered := map[Kind]bool{}
 	for _, mode := range controlModes {
 		for _, tc := range controlCases() {
 			covered[tc.kind] = true
 			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				fast, fastCodec := sendControl(t, true, mode.tc, mode.tenant, tc.kind, tc.payload)
-				slow, slowCodec := sendControl(t, false, mode.tc, mode.tenant, tc.kind, tc.payload)
-				if fastCodec != mode.codec || slowCodec != CodecGob {
-					t.Fatalf("codecs fast=%v gob=%v, want %v and gob", fastCodec, slowCodec, mode.codec)
+				msg, codec := sendControl(t, mode.tc, mode.tenant, tc.kind, tc.payload)
+				defer msg.Release()
+				if codec != mode.codec {
+					t.Fatalf("codec %v, want %v", codec, mode.codec)
 				}
-				for _, m := range []Msg{fast, slow} {
-					if m.Kind != tc.kind || m.Trace != mode.tc || m.Tenant != mode.tenant {
-						t.Fatalf("envelope = %v %+v %v, want %v %+v %v", m.Kind, m.Trace, m.Tenant, tc.kind, mode.tc, mode.tenant)
-					}
+				if msg.Kind != tc.kind || msg.Trace != mode.tc || msg.Tenant != mode.tenant {
+					t.Fatalf("envelope = %v %+v %v, want %v %+v %v", msg.Kind, msg.Trace, msg.Tenant, tc.kind, mode.tc, mode.tenant)
 				}
-				if !equalPayload(fast.Payload, slow.Payload, false) {
-					t.Fatalf("binary and gob disagree:\nbinary %#v\ngob    %#v", fast.Payload, slow.Payload)
+				if ref := gobReference(t, tc.payload); !equalPayload(valueOf(msg.Payload), ref, false) {
+					t.Fatalf("binary and gob reference disagree:\nbinary %#v\ngob    %#v", msg.Payload, ref)
 				}
-				if !equalPayload(fast.Payload, tc.decoded(), true) {
-					t.Fatalf("binary decode %#v, want %#v", fast.Payload, tc.decoded())
+				if !equalPayload(msg.Payload, tc.decoded(), true) {
+					t.Fatalf("binary decode %#v, want %#v", msg.Payload, tc.decoded())
 				}
 			})
 		}
@@ -208,8 +248,8 @@ func TestControlCodecDifferential(t *testing.T) {
 }
 
 // TestControlKindsRejectMismatchedPayloads: a promoted kind sent with a
-// payload type that is not its layout's must fall back to gob rather
-// than be framed under another kind's layout.
+// payload type that is not its layout's must be refused rather than be
+// framed under another kind's layout.
 func TestControlKindsRejectMismatchedPayloads(t *testing.T) {
 	for _, tc := range []struct {
 		kind    Kind
@@ -221,6 +261,9 @@ func TestControlKindsRejectMismatchedPayloads(t *testing.T) {
 		{KindRMs, FileRef{}},
 		{KindLookup, ReplicaRef{}},
 		{KindAck, nil},
+		{KindShardBeat, ShardMirror{}},
+		{KindShardHandoff, RMInfoList{}},
+		{KindReadFile, WriteFile{}},
 	} {
 		if _, ok := appendBinary(nil, tc.kind, tc.payload); ok {
 			t.Errorf("%v accepted a %T payload", tc.kind, tc.payload)
@@ -272,6 +315,13 @@ func malformedControlBodies(t *testing.T) []malformedBody {
 	add("rminfolist count exceeds body", KindRMInfoList, binaryBody(KindRMInfoList, []byte{0, 0x10, 0, 0}))
 	add("register addr exceeds body", KindRegisterRM, binaryBody(KindRegisterRM, append(make([]byte, 20), 0xff, 0xff, 0xff, 0xff)))
 	add("offer reply bad bool", KindOfferReply, binaryBody(KindOfferReply, []byte{2}))
+	add("shard mirror op exceeds body", KindShardMirror, binaryBody(KindShardMirror, []byte{0, 0, 0, 0xff, 'x'}))
+	add("shard handoff entries count exceeds body", KindShardHandoff,
+		binaryBody(KindShardHandoff, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}))
+	add("shard handoff rms count exceeds body", KindShardHandoff,
+		binaryBody(KindShardHandoff, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0x10, 0}))
+	add("shard mirror bad bool", KindShardMirror, binaryBody(KindShardMirror, append(make([]byte, 20), 2)))
+	add("read ranged zero length", KindReadFile, binaryBody(KindReadFile, make([]byte, 36)))
 	return out
 }
 

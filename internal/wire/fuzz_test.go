@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"dfsqos/internal/ids"
 	"dfsqos/internal/trace"
 )
 
@@ -19,12 +18,11 @@ func frameBytes(codec Codec, body []byte) []byte {
 	return append(out, body...)
 }
 
-// gobFrame encodes (kind, payload) through the real writer for the corpus.
-func gobFrame(kind Kind, payload any) []byte {
+// encodedFrame encodes (kind, payload) through the real writer for the
+// corpus.
+func encodedFrame(kind Kind, payload any) []byte {
 	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetFastPath(false)
-	if err := c.Write(kind, payload); err != nil {
+	if err := NewConn(&buf).Write(kind, payload); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -33,12 +31,12 @@ func gobFrame(kind Kind, payload any) []byte {
 // FuzzRead feeds arbitrary byte streams to Conn.Read. The invariant under
 // hostile input is "typed error or valid message, never a panic": short
 // headers, truncated bodies, oversized declared lengths, unknown codec
-// tags, garbage gob, and malformed binary layouts must all surface as
-// errors while leaving the buffer pools consistent.
+// tags (the legacy gob tag 0 among them), and malformed binary layouts
+// must all surface as errors while leaving the buffer pools consistent.
 func FuzzRead(f *testing.F) {
-	// Valid frames of both codecs.
-	f.Add(gobFrame(KindCount, Count{N: 7}))
-	f.Add(gobFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
+	// Valid frames.
+	f.Add(encodedFrame(KindCount, Count{N: 7}))
+	f.Add(encodedFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
 	f.Add(frameBytes(CodecBinary, binaryBody(KindFileChunk,
 		append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...))))
 	f.Add(frameBytes(CodecBinary, binaryBody(KindFileEnd, make([]byte, 16))))
@@ -63,7 +61,7 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(frameBytes(CodecBinary, binaryBody(KindRMList, []byte{0, 0x10, 0, 0}))) // count past the body
 	// Two valid frames back to back (multi-frame streams).
-	f.Add(append(gobFrame(KindAck, Ack{}),
+	f.Add(append(encodedFrame(KindAck, Ack{}),
 		frameBytes(CodecBinary, binaryBody(KindKeepalive, make([]byte, 8)))...))
 	// Hostile shapes.
 	f.Add([]byte{})
@@ -71,11 +69,11 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                   // oversized declared length
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 2})                                         // truncated body
 	f.Add(frameBytes(Codec(200), []byte{1, 2, 3}))                             // unknown codec tag
-	f.Add(frameBytes(CodecGob, []byte{1, 2, 3, 4}))                            // garbage gob
+	f.Add(frameBytes(Codec(0), []byte{1, 2, 3, 4}))                            // legacy gob tag
 	f.Add(frameBytes(CodecBinary, nil))                                        // binary body shorter than kind
 	f.Add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))       // short chunk
 	f.Add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 5))))  // wrong fixed len
-	f.Add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // uncovered kind
+	f.Add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // unknown kind
 	f.Add(frameBytes(CodecBinaryTraced, make([]byte, traceSize-1)))            // short trace slot
 	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize-1))) // short tenant+trace slots
 	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize)))   // slots but no kind
@@ -106,14 +104,10 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, offset int64, data []byte) {
 		var buf bytes.Buffer
-		w := NewConn(&buf)
-		w.SetFastPath(true)
-		if err := w.WriteChunk(offset, data); err != nil {
+		if err := NewConn(&buf).WriteChunk(trace.SpanContext{}, offset, data); err != nil {
 			t.Fatalf("WriteChunk(%d, %d bytes): %v", offset, len(data), err)
 		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
+		msg, err := NewConn(&buf).Read()
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -132,10 +126,11 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 }
 
 // FuzzControlRoundTrip decodes a raw payload under one of the promoted
-// control kinds. Decoding must either fail with a typed *CodecError or
-// return a payload that re-encodes to exactly the same bytes (the
-// layouts are canonical: bit-exact floats, 0/1 bools, counted slices),
-// and that a gob peer receives equal to the binary decode.
+// kinds. Decoding must either fail with a typed *CodecError or return a
+// payload that re-encodes to exactly the same bytes (the layouts are
+// canonical: bit-exact floats, 0/1 bools, counted slices, a ReadFile
+// length only when positive), and whose gob reference decode equals the
+// binary decode.
 func FuzzControlRoundTrip(f *testing.F) {
 	for _, tc := range controlCases() {
 		body, _ := appendBinary(nil, tc.kind, tc.payload)
@@ -162,9 +157,10 @@ func FuzzControlRoundTrip(f *testing.F) {
 		if !bytes.Equal(again, body) {
 			t.Fatalf("%v: % x re-encoded as % x", kind, body, again)
 		}
-		viaGob, _ := sendControl(t, false, trace.SpanContext{}, ids.NoneTenant, kind, msg.Payload)
-		if !equalPayload(viaGob.Payload, msg.Payload, false) {
-			t.Fatalf("%v: gob %#v, binary %#v", kind, viaGob.Payload, msg.Payload)
+		got := valueOf(msg.Payload)
+		msg.Release()
+		if ref := gobReference(t, got); !equalPayload(ref, got, false) {
+			t.Fatalf("%v: gob %#v, binary %#v", kind, ref, got)
 		}
 	})
 }

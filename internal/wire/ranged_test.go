@@ -2,52 +2,41 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"dfsqos/internal/trace"
 )
 
 // TestRangedReadFileRoundTrip proves the ranged request form (Length > 0)
-// round-trips on both codecs and surfaces through the ReadReq accessor,
-// which is the only way servers should extract it (the payload is a
-// pooled *ReadFile on the fast path and a plain value on gob).
+// round-trips and surfaces through the ReadReq accessor, which is the
+// only way servers should extract it (a ranged request decodes to a
+// pooled *ReadFile, a whole-file one to a plain value).
 func TestRangedReadFileRoundTrip(t *testing.T) {
 	want := ReadFile{File: 7, ChunkSize: 65536, Offset: 4096, Request: 99, Length: 131072}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		var buf bytes.Buffer
-		c := NewConn(&buf)
-		c.SetFastPath(mode.fast)
-		if err := c.Write(KindReadFile, want); err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		wantCodec := CodecGob
-		if mode.fast {
-			wantCodec = CodecBinary
-		}
-		if got := Codec(buf.Bytes()[4]); got != wantCodec {
-			t.Errorf("%s: frame tagged %v, want %v", mode.name, got, wantCodec)
-		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", mode.name, err)
-		}
-		got, ok := msg.ReadReq()
-		if !ok {
-			t.Fatalf("%s: ReadReq reported false for %T", mode.name, msg.Payload)
-		}
-		if got != want {
-			t.Errorf("%s: got %+v want %+v", mode.name, got, want)
-		}
-		msg.Release()
-		if msg.Payload != nil && mode.fast {
-			t.Errorf("%s: Release left Payload set", mode.name)
-		}
+	var buf bytes.Buffer
+	if err := NewConn(&buf).Write(KindReadFile, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := Codec(buf.Bytes()[4]); got != CodecBinary {
+		t.Errorf("frame tagged %v, want binary", got)
+	}
+	msg, err := NewConn(&buf).Read()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	got, ok := msg.ReadReq()
+	if !ok {
+		t.Fatalf("ReadReq reported false for %T", msg.Payload)
+	}
+	if got != want {
+		t.Errorf("got %+v want %+v", got, want)
+	}
+	msg.Release()
+	if msg.Payload != nil {
+		t.Error("Release left Payload set")
 	}
 }
 
@@ -64,7 +53,6 @@ func TestRangedReadFileFrameCompat(t *testing.T) {
 		{&zero, ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8, Length: 0}},
 	} {
 		c := NewConn(pair.buf)
-		c.SetFastPath(true)
 		if err := c.Write(KindReadFile, pair.req); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +66,6 @@ func TestRangedReadFileFrameCompat(t *testing.T) {
 	}
 	var ranged bytes.Buffer
 	c := NewConn(&ranged)
-	c.SetFastPath(true)
 	if err := c.Write(KindReadFile, ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8, Length: 256}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,20 +76,30 @@ func TestRangedReadFileFrameCompat(t *testing.T) {
 
 // TestRangedReadFileMalformedLength proves the dual-length decode stays
 // strict: only 28- and 36-byte bodies are valid ReadFile layouts, and
-// anything between or beyond is a typed CodecError.
+// anything between or beyond is a typed CodecError. So is a 36-byte body
+// whose trailing length is not positive: the encoder writes that field
+// only for ranged reads, so the body would re-encode as 28 bytes.
 func TestRangedReadFileMalformedLength(t *testing.T) {
-	for _, n := range []int{29, 35, 37} {
+	nonPositive := func(length int64) []byte {
+		return binary.BigEndian.AppendUint64(make([]byte, 28), uint64(length))
+	}
+	for name, payload := range map[string][]byte{
+		"29 bytes":        make([]byte, 29),
+		"35 bytes":        make([]byte, 35),
+		"37 bytes":        make([]byte, 37),
+		"zero length":     nonPositive(0),
+		"negative length": nonPositive(-1),
+		"min length":      nonPositive(math.MinInt64),
+	} {
 		var buf bytes.Buffer
-		writeRawFrame(&buf, CodecBinary, binaryBody(KindReadFile, make([]byte, n)))
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		_, err := r.Read()
+		writeRawFrame(&buf, CodecBinary, binaryBody(KindReadFile, payload))
+		_, err := NewConn(&buf).Read()
 		var ce *CodecError
 		if !errors.As(err, &ce) {
-			t.Fatalf("%d-byte payload: want CodecError, got %v", n, err)
+			t.Fatalf("%s: want CodecError, got %v", name, err)
 		}
 		if ce.Kind != KindReadFile {
-			t.Errorf("%d-byte payload: CodecError kind %v, want ReadFile", n, ce.Kind)
+			t.Errorf("%s: CodecError kind %v, want ReadFile", name, ce.Kind)
 		}
 	}
 }
@@ -112,51 +109,37 @@ func TestRangedReadFileMalformedLength(t *testing.T) {
 // sub-benchmark is gated at 0 allocs/op by scripts/bench.sh.
 func BenchmarkEncodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteReadReq(trace.SpanContext{}, req); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("fast", func(b *testing.B) {
+		c := NewConn(discardRW{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.WriteReadReq(trace.SpanContext{}, req); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkDecodeRangedRead measures decoding the ranged request frame;
-// the fast path borrows a pooled ReadFile (0 allocs/op with Release,
-// gated by scripts/bench.sh).
+// the decoder borrows a pooled ReadFile (0 allocs/op with Release, gated
+// by scripts/bench.sh).
 func BenchmarkDecodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.Write(KindReadFile, req); err != nil {
+	b.Run("fast", func(b *testing.B) {
+		var buf bytes.Buffer
+		if err := NewConn(&buf).Write(KindReadFile, req); err != nil {
+			b.Fatal(err)
+		}
+		r := NewConn(&loopRW{frame: buf.Bytes()})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			msg, err := r.Read()
+			if err != nil {
 				b.Fatal(err)
 			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
-	}
+			msg.Release()
+		}
+	})
 }

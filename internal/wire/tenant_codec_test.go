@@ -1,5 +1,3 @@
-//go:build !gobonly
-
 package wire
 
 import (
@@ -14,8 +12,7 @@ import (
 
 const testTenant = ids.TenantID(42)
 
-// TestWriteTenantBinaryRoundTrip drives every fast-path-eligible kind
-// through the tenant binary codec (tag 3) on a tenant-stamped
+// TestWriteTenantBinaryRoundTrip drives every data-plane kind through the tenant binary codec (tag 3) on a tenant-stamped
 // connection: the payload, the tenant and the span context must all
 // survive, both traced and untraced.
 func TestWriteTenantBinaryRoundTrip(t *testing.T) {
@@ -84,13 +81,11 @@ func TestWriteChunkTenantRoundTrip(t *testing.T) {
 		c := NewConn(&buf)
 		c.SetTenant(testTenant)
 		data := []byte("tenant chunk payload")
-		var err error
+		tc := trace.SpanContext{}
 		if traced {
-			err = c.WriteChunkTraced(testTC, 1024, data)
-		} else {
-			err = c.WriteChunk(1024, data)
+			tc = testTC
 		}
-		if err != nil {
+		if err := c.WriteChunk(tc, 1024, data); err != nil {
 			t.Fatal(err)
 		}
 		if got := Codec(buf.Bytes()[4]); got != CodecBinaryTenant {
@@ -144,48 +139,8 @@ func TestWriteReadReqTenant(t *testing.T) {
 	msg.Release()
 }
 
-// TestGobFramesCarryTenant proves the universal gob codec carries the
-// stamped tenant in the envelope — tenancy is not a fast-path-only
-// property.
-func TestGobFramesCarryTenant(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetTenant(testTenant)
-	c.SetFastPath(false)
-	if err := c.Write(KindCount, Count{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("frame codec = %v, want gob", got)
-	}
-	msg, err := c.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Tenant != testTenant {
-		t.Fatalf("gob envelope tenant = %v, want %v", msg.Tenant, testTenant)
-	}
-	// Gob-ineligible kinds on a fast-path conn fall back to gob and must
-	// still carry the tenant.
-	c.SetFastPath(true)
-	if err := c.Write(KindShardBeat, ShardBeat{Shard: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("fallback frame codec = %v, want gob", got)
-	}
-	msg, err = c.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Tenant != testTenant {
-		t.Fatalf("fallback gob envelope tenant = %v", msg.Tenant)
-	}
-}
-
 // TestUntenantedFramesUnchanged proves a connection without SetTenant
-// frames exactly as before tag 3 existed: tag 1 untraced, tag 2 traced,
-// and a gob envelope with no tenant field.
+// frames exactly as before tag 3 existed: tag 1 untraced, tag 2 traced.
 func TestUntenantedFramesUnchanged(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
@@ -221,7 +176,7 @@ func TestTenantFrameLayout(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	c.SetTenant(testTenant)
-	if err := c.WriteChunkTraced(testTC, 0x0102030405060708, []byte{0xAA, 0xBB}); err != nil {
+	if err := c.WriteChunk(testTC, 0x0102030405060708, []byte{0xAA, 0xBB}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -241,8 +196,7 @@ func TestTenantFrameLayout(t *testing.T) {
 }
 
 // TestTenantCodecHostileInput proves malformed tag-3 bodies surface
-// typed CodecErrors, never panics, and that endpoints refusing binary
-// refuse tag 3 too.
+// typed CodecErrors, never panics.
 func TestTenantCodecHostileInput(t *testing.T) {
 	short := frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize-1))
 	c := NewConn(bytes.NewBuffer(short))
@@ -258,19 +212,6 @@ func TestTenantCodecHostileInput(t *testing.T) {
 	if _, err := c.Read(); !errors.As(err, &ce) {
 		t.Fatalf("bad inner body error = %v", err)
 	}
-
-	// A gob-only endpoint refuses tag 3 with the typed error.
-	var buf bytes.Buffer
-	w := NewConn(&buf)
-	w.SetTenant(testTenant)
-	if err := w.Write(KindAck, Ack{}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(false)
-	if _, err := r.Read(); !errors.As(err, &ce) || ce.Codec != CodecBinaryTenant {
-		t.Fatalf("gob-only endpoint error = %v", err)
-	}
 }
 
 // TestCodecTenantStats proves the tag-3 frame counters move.
@@ -279,7 +220,7 @@ func TestCodecTenantStats(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	c.SetTenant(testTenant)
-	if err := c.WriteChunk(0, []byte("x")); err != nil {
+	if err := c.WriteChunk(trace.SpanContext{}, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := c.Read()
@@ -297,7 +238,6 @@ func TestCodecTenantStats(t *testing.T) {
 // defined tag renders a name, unknown tags the numeric fallback.
 func TestCodecStringCoversEveryTag(t *testing.T) {
 	want := map[Codec]string{
-		CodecGob:          "gob",
 		CodecBinary:       "binary",
 		CodecBinaryTraced: "binary-traced",
 		CodecBinaryTenant: "binary-tenant",

@@ -1,5 +1,3 @@
-//go:build !gobonly
-
 package wire
 
 import (
@@ -16,8 +14,7 @@ import (
 
 var testTC = trace.SpanContext{Trace: ids.RequestID(0x1122334455), Span: 0x99}
 
-// TestWriteTracedBinaryRoundTrip drives every fast-path-eligible kind
-// through the traced binary codec (tag 2) and asserts both the payload
+// TestWriteTracedBinaryRoundTrip drives every data-plane kind through the traced binary codec (tag 2) and asserts both the payload
 // and the span context survive.
 func TestWriteTracedBinaryRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -63,7 +60,7 @@ func TestWriteChunkTracedRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	data := []byte("traced chunk payload")
-	if err := c.WriteChunkTraced(testTC, 1024, data); err != nil {
+	if err := c.WriteChunk(testTC, 1024, data); err != nil {
 		t.Fatal(err)
 	}
 	if got := Codec(buf.Bytes()[4]); got != CodecBinaryTraced {
@@ -86,57 +83,6 @@ func TestWriteChunkTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteTracedGobEnvelope covers the kinds the binary codec does not
-// (the shard-group kinds): the span context rides the gob envelope's
-// Trace field.
-func TestWriteTracedGobEnvelope(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	if err := c.WriteTraced(testTC, KindShardMirror, ShardMirror{Op: "RemoveReplica", File: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Codec(buf.Bytes()[4]); got != CodecGob {
-		t.Fatalf("frame codec = %v, want gob", got)
-	}
-	msg, err := c.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Trace != testTC {
-		t.Fatalf("trace = %+v, want %+v", msg.Trace, testTC)
-	}
-	if m, ok := msg.Payload.(ShardMirror); !ok || m.File != 12 || m.Op != "RemoveReplica" {
-		t.Fatalf("payload mangled: %#v", msg.Payload)
-	}
-}
-
-// TestWriteTracedGobPinnedConn pins the writer to gob: traced fast-path
-// kinds must still carry their span context (via the envelope).
-func TestWriteTracedGobPinnedConn(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetFastPath(false)
-	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{Size: 1, Checksum: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteChunkTraced(testTC, 64, []byte("gob chunk")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if got := Codec(buf.Bytes()[4]); got != CodecGob {
-			t.Fatalf("frame %d codec = %v, want gob", i, got)
-		}
-		msg, err := c.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.Trace != testTC {
-			t.Fatalf("frame %d trace = %+v, want %+v", i, msg.Trace, testTC)
-		}
-		msg.Release()
-	}
-}
-
 func TestWriteTracedZeroContextStaysUntraced(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
@@ -155,9 +101,9 @@ func TestWriteTracedZeroContextStaysUntraced(t *testing.T) {
 	}
 }
 
-// TestMixedTracedUntracedInterleave interleaves all three codecs on one
-// connection: plain binary, traced binary, gob, and traced gob frames
-// must each decode independently.
+// TestMixedTracedUntracedInterleave interleaves plain and traced frames
+// of the data plane and the shard-group control plane on one
+// connection: each must decode independently.
 func TestMixedTracedUntracedInterleave(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
@@ -167,13 +113,13 @@ func TestMixedTracedUntracedInterleave(t *testing.T) {
 	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{Size: 2}); err != nil { // traced binary
 		t.Fatal(err)
 	}
-	if err := c.Write(KindShardMirror, ShardMirror{File: 3}); err != nil { // gob
+	if err := c.Write(KindShardMirror, ShardMirror{File: 3}); err != nil { // binary shard
 		t.Fatal(err)
 	}
-	if err := c.WriteTraced(testTC, KindShardMirror, ShardMirror{File: 4}); err != nil { // traced gob
+	if err := c.WriteTraced(testTC, KindShardMirror, ShardMirror{File: 4}); err != nil { // traced shard
 		t.Fatal(err)
 	}
-	if err := c.WriteChunkTraced(testTC, 5, []byte("x")); err != nil { // traced chunk
+	if err := c.WriteChunk(testTC, 5, []byte("x")); err != nil { // traced chunk
 		t.Fatal(err)
 	}
 	wantTraced := []bool{false, true, false, true, true}
@@ -226,8 +172,8 @@ func TestTracedFrameShortTraceSlotRejected(t *testing.T) {
 
 // TestSlottedFrameErrorsNameTheirCodec: a tag-2 or tag-3 frame whose
 // slots are intact but whose binary-v1 body is malformed, or names a
-// kind the binary codec does not cover, must report the tag it arrived
-// under, not plain binary.
+// kind the reader does not know, must report the tag it arrived under,
+// not plain binary.
 func TestSlottedFrameErrorsNameTheirCodec(t *testing.T) {
 	for _, tc := range []struct {
 		codec Codec
@@ -236,7 +182,7 @@ func TestSlottedFrameErrorsNameTheirCodec(t *testing.T) {
 		for name, body := range map[string][]byte{
 			"short body":    {1},
 			"short payload": binaryBody(KindCFP, make([]byte, 7)),
-			"uncovered":     binaryBody(KindShardMirror, nil),
+			"unknown kind":  binaryBody(Kind(999), nil),
 		} {
 			var buf bytes.Buffer
 			writeRawFrame(&buf, tc.codec, append(make([]byte, tc.slots), body...))
@@ -252,21 +198,6 @@ func TestSlottedFrameErrorsNameTheirCodec(t *testing.T) {
 	}
 }
 
-func TestTracedFrameRejectedWhenBinaryNotAccepted(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(false)
-	_, err := r.Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) || ce.Codec != CodecBinaryTraced {
-		t.Fatalf("err = %v, want CodecError{binary-traced}", err)
-	}
-}
-
 // TestTracedStatsCount verifies the traced frames land in the
 // binary-traced counter bucket, not the plain binary one.
 func TestTracedStatsCount(t *testing.T) {
@@ -276,7 +207,7 @@ func TestTracedStatsCount(t *testing.T) {
 	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteChunkTraced(testTC, 0, []byte("y")); err != nil {
+	if err := c.WriteChunk(testTC, 0, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -301,15 +232,15 @@ func TestTracedChunkZeroAllocs(t *testing.T) {
 	data := make([]byte, 32<<10)
 	w := NewConn(discardRW{})
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := w.WriteChunkTraced(testTC, 0, data); err != nil {
+		if err := w.WriteChunk(testTC, 0, data); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("WriteChunkTraced allocs/op = %v, want 0", avg)
+		t.Fatalf("traced WriteChunk allocs/op = %v, want 0", avg)
 	}
 
 	var frame bytes.Buffer
-	NewConn(&frame).WriteChunkTraced(testTC, 0, data)
+	NewConn(&frame).WriteChunk(testTC, 0, data)
 	l := &loopRW{frame: frame.Bytes()}
 	r := NewConn(l)
 	if avg := testing.AllocsPerRun(200, func() {
@@ -328,7 +259,7 @@ func TestTracedChunkZeroAllocs(t *testing.T) {
 func TestTracedPrefixLayout(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	if err := c.WriteChunkTraced(testTC, 0x0102030405060708, []byte{0xAA}); err != nil {
+	if err := c.WriteChunk(testTC, 0x0102030405060708, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()

@@ -1,22 +1,17 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
-// body. The tag selects how the body is encoded — gob (tag 0, every
-// kind), the hand-rolled binary fast path (tag 1, every kind except the
-// three shard-group kinds, which stay on gob), traced binary (tag 2,
-// binary v1 with a 16-byte request-trace slot), or tenant binary (tag 3,
-// binary v1 with a 4-byte tenant slot ahead of the trace slot; see
-// codec.go). Frames are independent (stateless codec per frame), so a
-// connection can be taken over after any message boundary, a corrupted
-// frame cannot poison decoder state, and the codecs interleave freely on
-// one connection. A frame-size cap bounds memory against malformed
-// peers.
+// body. Every body is hand-rolled binary v1 (see codec.go); the tag
+// declares which slots precede it — none (tag 1), a 16-byte request-trace
+// slot (tag 2), or a 4-byte tenant slot and the trace slot (tag 3).
+// Frames are independent (no cross-frame state), so a connection can be
+// taken over after any message boundary, a corrupted frame cannot poison
+// the next one, and the tags interleave freely on one connection. A
+// frame-size cap bounds memory against malformed peers.
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -28,7 +23,6 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
-	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
 )
 
@@ -75,8 +69,7 @@ const (
 	// Liveness (RM → MM) and reservation-lease keepalive (DFSC → RM).
 	KindHeartbeat
 	KindKeepalive
-	// Shard-group control plane (MM shard → MM shard). These three are
-	// the only kinds without a binary layout: they ride gob, sent on
+	// Shard-group control plane (MM shard → MM shard), sent on
 	// membership changes and replica-map writes, never per read.
 	KindShardBeat
 	KindShardMirror
@@ -119,46 +112,36 @@ type Msg struct {
 	Payload any
 
 	// Trace is the span context this frame carries, if any: the zero
-	// value means "untraced". Gob frames encode it as an ordinary
-	// (omitted-when-zero) envelope field; fast-path frames carry it in
-	// the tag-2 trace slot (or tag 3's, when a tenant rides too).
+	// value means "untraced". It rides the trace slot of tags 2 and 3.
 	// Servers join it with trace.Tracer.StartChild.
 	Trace trace.SpanContext
 
 	// Tenant is the tenant identity this frame was sent under: the zero
-	// value (ids.NoneTenant) means untenanted. Gob frames encode it as
-	// an (omitted-when-zero) envelope field; fast-path frames carry it
-	// in the tag-3 tenant slot. Connections stamp it with
-	// Conn.SetTenant; servers read it for per-tenant accounting.
+	// value (ids.NoneTenant) means untenanted. It rides the tag-3 tenant
+	// slot. Connections stamp it with Conn.SetTenant; servers read it for
+	// per-tenant accounting.
 	Tenant ids.TenantID
 
 	// pooled is the frame buffer this message's payload borrows from
-	// (fast-path FileChunk only: Data points into it); chunk is the
-	// pooled payload struct. rreq is the pooled ReadFile a ranged
-	// fast-path request decodes into. All are returned by Release.
+	// (FileChunk only: Data points into it); chunk is the pooled payload
+	// struct. rreq is the pooled ReadFile a ranged request decodes into.
+	// All are returned by Release.
 	pooled *[]byte
 	chunk  *FileChunk
 	rreq   *ReadFile
 }
 
-// Chunk extracts a FileChunk payload regardless of codec: fast-path
-// frames carry a pooled *FileChunk, gob frames a FileChunk value. It
-// reports false for any other payload.
+// Chunk extracts a FileChunk payload (a pooled *FileChunk). It reports
+// false for any other payload.
 func (m *Msg) Chunk() (*FileChunk, bool) {
-	switch p := m.Payload.(type) {
-	case *FileChunk:
-		return p, true
-	case FileChunk:
-		return &p, true
-	}
-	return nil, false
+	p, ok := m.Payload.(*FileChunk)
+	return p, ok
 }
 
-// ReadReq extracts a ReadFile payload regardless of codec or range form:
-// legacy whole-file frames decode to a ReadFile value, ranged fast-path
-// frames to a pooled *ReadFile (returned by Release — the copy handed
-// back here stays valid afterwards). It reports false for any other
-// payload.
+// ReadReq extracts a ReadFile payload regardless of range form:
+// whole-file frames decode to a ReadFile value, ranged frames to a
+// pooled *ReadFile (returned by Release — the copy handed back here
+// stays valid afterwards). It reports false for any other payload.
 func (m *Msg) ReadReq() (ReadFile, bool) {
 	switch p := m.Payload.(type) {
 	case ReadFile:
@@ -169,16 +152,16 @@ func (m *Msg) ReadReq() (ReadFile, bool) {
 	return ReadFile{}, false
 }
 
-// Release returns a fast-path message's pooled resources (the frame
-// buffer its FileChunk Data points into, and the FileChunk struct
-// itself). The borrowed-buffer contract for stream loops:
+// Release returns a message's pooled resources (the frame buffer its
+// FileChunk Data points into, and the FileChunk or ranged ReadFile
+// struct itself). The borrowed-buffer contract for stream loops:
 //
 //   - After Read returns a KindFileChunk Msg, the chunk's Data is only
 //     valid until Release — copy or consume it first, never retain it.
 //   - Call Release exactly once per received chunk when done; the Payload
 //     is nilled so use-after-release fails loudly instead of silently
 //     reading recycled bytes.
-//   - Release on a gob-decoded or non-chunk Msg is a safe no-op, so
+//   - Release on a Msg without pooled resources is a safe no-op, so
 //     loops may release unconditionally.
 //
 // Skipping Release is a performance bug, not a correctness bug: the
@@ -353,38 +336,6 @@ type (
 	}
 )
 
-func init() {
-	gob.Register(RegisterRM{})
-	gob.Register(FileRef{})
-	gob.Register(ReplicaRef{})
-	gob.Register(BeginReplication{})
-	gob.Register(EndReplication{})
-	gob.Register(RMList{})
-	gob.Register(RMInfoList{})
-	gob.Register(Count{})
-	gob.Register(CloseReq{})
-	gob.Register(OfferReply{})
-	gob.Register(FinishReplica{})
-	gob.Register(ReadFile{})
-	gob.Register(WriteFile{})
-	gob.Register(FileChunk{})
-	gob.Register(FileEnd{})
-	gob.Register(Ack{})
-	gob.Register(Error{})
-	gob.Register(Heartbeat{})
-	gob.Register(Keepalive{})
-	gob.Register(ShardBeat{})
-	gob.Register(ShardMirror{})
-	gob.Register(ShardHandoff{})
-	gob.Register(ecnp.CFP{})
-	gob.Register(ecnp.OpenRequest{})
-	gob.Register(ecnp.OpenResult{})
-	gob.Register(ecnp.ReplicaOffer{})
-	gob.Register(ecnp.StoreRequest{})
-	gob.Register(ecnp.RMInfo{})
-	gob.Register(selection.Bid{})
-}
-
 // ChecksumBasis is the initial state of the running checksum every data
 // stream carries (the empty input's checksum). A failover client threads
 // one running state across segments served by different replicas; since
@@ -551,47 +502,25 @@ type Conn struct {
 	// wt, guarded by wmu, arms a fresh write deadline per frame (servers
 	// use it so a stalled reader cannot wedge a handler goroutine).
 	wt time.Duration
-	// fastWrite selects the binary codec for eligible outgoing kinds;
-	// acceptBinary gates incoming binary frames (false: typed
-	// *CodecError). Both default from the build (see fastpath_on.go).
-	fastWrite    atomic.Bool
-	acceptBinary atomic.Bool
 	// rhdr, guarded by rmu, is the frame-header scratch for Read: a local
 	// array would escape through the io.ReadFull interface call and cost
 	// one heap allocation per frame.
 	rhdr [headerSize]byte
 	// tenant, when non-zero, is the ids.TenantID stamped on every
-	// outgoing frame: fast-path frames switch to codec tag 3, gob frames
-	// carry it in the envelope. Per-connection (not per-call) because a
-	// client acts for exactly one tenant — stamping at dial time keeps
-	// every write path's signature and allocation profile unchanged.
+	// outgoing frame, which then goes out as codec tag 3. Per-connection
+	// (not per-call) because a client acts for exactly one tenant —
+	// stamping at dial time keeps every write path's signature and
+	// allocation profile unchanged.
 	tenant atomic.Int32
 }
 
 // NewConn wraps a byte stream (normally a *net.TCPConn).
-func NewConn(rw io.ReadWriter) *Conn {
-	c := &Conn{rw: rw}
-	c.fastWrite.Store(defaultFastPath.Load())
-	c.acceptBinary.Store(defaultAcceptBinary.Load())
-	return c
-}
-
-// SetFastPath overrides the write-side codec choice for this connection:
-// true routes eligible kinds through the binary fast path, false keeps
-// everything on gob. Safe to call concurrently with traffic; it applies
-// to frames written after the call.
-func (c *Conn) SetFastPath(on bool) { c.fastWrite.Store(on) }
-
-// SetAcceptBinary overrides whether this connection decodes incoming
-// binary fast-path frames; when false they surface a typed *CodecError
-// (the behavior of a gobonly-build endpoint). It applies to frames read
-// after the call.
-func (c *Conn) SetAcceptBinary(on bool) { c.acceptBinary.Store(on) }
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
 // SetTenant stamps the tenant identity on every frame written from now
-// on: eligible fast-path frames switch to the tag-3 tenant codec and gob
-// frames carry Msg.Tenant. ids.NoneTenant (the default) restores
-// untenanted framing. Safe to call concurrently with traffic.
+// on: frames switch to the tag-3 tenant codec. ids.NoneTenant (the
+// default) restores untenanted framing. Safe to call concurrently with
+// traffic.
 func (c *Conn) SetTenant(t ids.TenantID) { c.tenant.Store(int32(t)) }
 
 // Tenant returns the identity stamped by SetTenant.
@@ -630,122 +559,56 @@ func (c *Conn) armWriteDeadlineLocked() {
 	}
 }
 
-// Write sends one message. Every kind with a binary layout (all but the
-// shard-group kinds) goes out on the binary fast path unless the
-// connection is pinned to gob; everything else uses the stateless
-// per-frame gob codec. Either way the frame leaves as a single write —
-// header and body are assembled in one pooled buffer (chunks: one writev
-// via WriteChunk) — so a frame costs one syscall, not two.
+// Write sends one message as a binary frame. The frame leaves as a
+// single write — header and body are assembled in one pooled buffer
+// (chunks: one writev via WriteChunk) — so a frame costs one syscall,
+// not two. A (kind, payload) pair with no binary layout fails with a
+// typed *CodecError and sends nothing.
 func (c *Conn) Write(kind Kind, payload any) error {
 	return c.WriteTraced(trace.SpanContext{}, kind, payload)
 }
 
-// WriteTraced is Write carrying the span context tc on the frame, so the
-// receiving server can join the sender's trace. A zero tc is exactly
-// Write. Kinds with a binary layout go out as traced binary frames
-// (codec tag 2, or tag 3 on a tenant-stamped connection; same pooled
-// single-write discipline); everything else rides the gob envelope's
-// Trace field. Chunks route through WriteChunkTraced.
+// WriteTraced is Write carrying the span context tc on the frame (codec
+// tag 2, or tag 3 on a tenant-stamped connection), so the receiving
+// server can join the sender's trace. A zero tc is exactly Write.
+// Chunks route through WriteChunk.
 func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
-	if c.fastWrite.Load() {
-		if kind == KindFileChunk {
-			switch p := payload.(type) {
-			case FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			case *FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			}
-		} else if sent, err := c.writeBinary(tc, kind, payload); sent {
-			return err
+	if kind == KindFileChunk {
+		switch p := payload.(type) {
+		case FileChunk:
+			return c.WriteChunk(tc, p.Offset, p.Data)
+		case *FileChunk:
+			return c.WriteChunk(tc, p.Offset, p.Data)
 		}
 	}
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
-}
-
-// writeBinary frames (kind, payload) as one binary frame in a pooled
-// buffer and sends it as a single write. The codec follows the
-// connection and the span context: tag 3 (tenant slot, then the trace
-// slot, zero when untraced) on a tenant-stamped connection, else tag 2
-// when tc is valid, else tag 1. It reports false, sending nothing, when
-// the pair has no binary layout. Chunks never reach here — WriteChunk
-// and WriteChunkTraced frame them with a single writev.
-func (c *Conn) writeBinary(tc trace.SpanContext, kind Kind, payload any) (sent bool, err error) {
-	codec, t := CodecBinary, c.tenantID()
-	switch {
-	case t.Valid():
-		codec = CodecBinaryTenant
-	case tc.Valid():
-		codec = CodecBinaryTraced
-	}
 	bp := getBuf(96)
-	b := append((*bp)[:0], 0, 0, 0, 0, byte(codec))
-	switch codec {
-	case CodecBinaryTenant:
-		b = put32(b, uint32(t))
-		fallthrough
-	case CodecBinaryTraced:
-		b = put64(b, uint64(tc.Trace))
-		b = put64(b, tc.Span)
+	frame, codec, err := c.encodeFrame(*bp, tc, kind, payload)
+	*bp = frame[:0] // adopt the (possibly regrown) backing array for the pool
+	if err == nil {
+		err = c.writeFrame(frame, kind)
 	}
-	b, ok := appendBinary(b, kind, payload)
-	*bp = b // adopt the (possibly regrown) backing array for the pool
-	if !ok {
-		putBuf(bp)
-		return false, nil
-	}
-	n := len(b) - headerSize
-	if n > MaxFrame {
-		putBuf(bp)
-		return true, &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	err = c.writeFrame(b, kind)
 	putBuf(bp)
 	if err == nil {
-		codecMet.Load().tx(codec).Inc()
-	}
-	return true, err
-}
-
-// writeGob sends one gob-framed message: the 5-byte header placeholder
-// and the gob body are built in a single pooled buffer (so the gob
-// encoder's output lands directly behind the header), then the whole
-// frame goes out as one write.
-func (c *Conn) writeGob(kind Kind, payload any) error {
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload})
-}
-
-// writeGobMsg frames msg (including any Trace field — gob omits it when
-// zero) as a gob frame. The connection's stamped tenant rides the
-// envelope's Tenant field, so a tenant-stamped peer is identified on
-// every codec, not just the fast path.
-func (c *Conn) writeGobMsg(msg Msg) error {
-	if !msg.Tenant.Valid() {
-		msg.Tenant = c.tenantID()
-	}
-	kind := msg.Kind
-	bp := getBuf(512)
-	buf := bytes.NewBuffer((*bp)[:0])
-	buf.Write(make([]byte, headerSize))
-	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		putBuf(bp)
-		return fmt.Errorf("wire: encoding %v: %w", kind, err)
-	}
-	b := buf.Bytes()
-	*bp = b[:0] // adopt the (possibly regrown) backing array for the pool
-	n := len(b) - headerSize
-	if n > MaxFrame {
-		putBuf(bp)
-		return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	b[4] = byte(CodecGob)
-	err := c.writeFrame(b, kind)
-	putBuf(bp)
-	if err == nil {
-		codecMet.Load().txGob.Inc()
+		codecMet.Load().tx[codec].Inc()
 	}
 	return err
+}
+
+// encodeFrame appends one whole frame — header, slots and binary-v1
+// body — for (kind, payload) to b. It fails with a *CodecError when the
+// pair has no layout and with a *FrameTooLargeError past MaxFrame.
+func (c *Conn) encodeFrame(b []byte, tc trace.SpanContext, kind Kind, payload any) ([]byte, Codec, error) {
+	b, codec := c.appendHeader(b, tc)
+	b, ok := appendBinary(b, kind, payload)
+	if !ok {
+		return b, codec, &CodecError{Codec: codec, Kind: kind, Reason: "payload type has no layout under this kind"}
+	}
+	n := len(b) - headerSize
+	if n > MaxFrame {
+		return b, codec, &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
+	}
+	binary.BigEndian.PutUint32(b[:4], uint32(n))
+	return b, codec, nil
 }
 
 // writeFrame pushes one fully assembled frame to the stream under the
@@ -769,37 +632,24 @@ func (c *Conn) writeFrame(frame []byte, kind Kind) error {
 // no production path calls it. The caller must drop the connection
 // afterwards: the stream is unframeable from here on.
 func (c *Conn) WriteTorn(kind Kind, payload any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(Msg{Kind: kind, Payload: payload}); err != nil {
-		return fmt.Errorf("wire: encoding %v: %w", kind, err)
-	}
-	// Enforce the same outgoing cap as Write: a torn frame must still be
+	// The same layout and cap checks as Write: a torn frame must still be
 	// one the reader would have accepted, so the fault it injects is
-	// "peer died mid-write", never "peer sent an oversized frame".
-	if body.Len() > MaxFrame {
-		return &FrameTooLargeError{Kind: kind, Size: int64(body.Len()), Cap: MaxFrame, Outgoing: true}
+	// "peer died mid-write", never "peer sent a malformed frame".
+	frame, _, err := c.encodeFrame(nil, trace.SpanContext{}, kind, payload)
+	if err != nil {
+		return err
 	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	hdr[4] = byte(CodecGob)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing header: %w", err)
-	}
-	if _, err := c.rw.Write(body.Bytes()[:body.Len()/2]); err != nil {
-		return fmt.Errorf("wire: writing torn body: %w", err)
-	}
-	return nil
+	cut := headerSize + (len(frame)-headerSize)/2
+	return c.writeFrame(frame[:cut], kind)
 }
 
 // Read receives one message. The frame body lands in a pooled buffer:
-// gob frames decode out of it and return it immediately; fast-path
 // FileChunk frames lend it to the returned Msg (Data points into it)
-// until Msg.Release — see the borrowed-buffer contract there. Hostile
-// input surfaces typed errors (*FrameTooLargeError for an oversized
-// declared length, *CodecError for unknown tags or malformed binary
-// bodies), never a panic.
+// until Msg.Release — see the borrowed-buffer contract there — and every
+// other kind is copied out and returns it at once. Hostile input surfaces
+// typed errors (*FrameTooLargeError for an oversized declared length,
+// *CodecError for unknown tags or kinds and malformed bodies), never a
+// panic.
 func (c *Conn) Read() (Msg, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -817,82 +667,38 @@ func (c *Conn) Read() (Msg, error) {
 		putBuf(bp)
 		return Msg{}, fmt.Errorf("wire: reading body: %w", err)
 	}
-	switch codec {
-	case CodecGob:
-		var msg Msg
-		err := gob.NewDecoder(bytes.NewReader(body)).Decode(&msg)
+	slots, ok := slotSize(codec)
+	if !ok || len(body) < slots {
 		putBuf(bp)
-		if err != nil {
-			return Msg{}, fmt.Errorf("wire: decoding frame: %w", err)
+		reason := "unknown codec tag"
+		if ok {
+			reason = fmt.Sprintf("body shorter than the %d-byte slots of %v", slots, codec)
 		}
-		codecMet.Load().rxGob.Inc()
-		return msg, nil
-	case CodecBinary:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		msg, retained, err := decodeBinary(codec, body, bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		codecMet.Load().rxBinary.Inc()
-		return msg, nil
-	case CodecBinaryTraced:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		if len(body) < traceSize {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "body shorter than trace slot"}
-		}
-		tc := trace.SpanContext{
-			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[:8]))),
-			Span:  binary.BigEndian.Uint64(body[8:16]),
-		}
-		msg, retained, err := decodeBinary(codec, body[traceSize:], bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		msg.Trace = tc
-		codecMet.Load().rxTraced.Inc()
-		return msg, nil
-	case CodecBinaryTenant:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		if len(body) < tenantSize+traceSize {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "body shorter than tenant and trace slots"}
-		}
-		ten := ids.TenantID(int32(binary.BigEndian.Uint32(body[:tenantSize])))
-		tc := trace.SpanContext{
-			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[tenantSize : tenantSize+8]))),
-			Span:  binary.BigEndian.Uint64(body[tenantSize+8 : tenantSize+16]),
-		}
-		msg, retained, err := decodeBinary(codec, body[tenantSize+traceSize:], bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		msg.Tenant = ten
-		msg.Trace = tc
-		codecMet.Load().rxTenant.Inc()
-		return msg, nil
-	default:
-		putBuf(bp)
-		return Msg{}, &CodecError{Codec: codec, Reason: "unknown codec tag"}
+		return Msg{}, &CodecError{Codec: codec, Reason: reason}
 	}
+	var ten ids.TenantID
+	var tc trace.SpanContext
+	s := body[:slots]
+	if codec == CodecBinaryTenant {
+		ten = ids.TenantID(int32(binary.BigEndian.Uint32(s)))
+		s = s[tenantSize:]
+	}
+	if len(s) == traceSize {
+		tc = trace.SpanContext{
+			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(s[:8]))),
+			Span:  binary.BigEndian.Uint64(s[8:]),
+		}
+	}
+	msg, retained, err := decodeBinary(codec, body[slots:], bp)
+	if !retained {
+		putBuf(bp)
+	}
+	if err != nil {
+		return Msg{}, err
+	}
+	msg.Trace, msg.Tenant = tc, ten
+	codecMet.Load().rx[codec].Inc()
+	return msg, nil
 }
 
 // Call performs a synchronous request/response round trip. A KindError

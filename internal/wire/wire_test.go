@@ -87,8 +87,8 @@ func TestRoundTripAllPayloads(t *testing.T) {
 }
 
 // TestBidRoundTripCarriesQoSFields pins the bid frame's full field set —
-// in particular the oversubscription-aware Assured/Ceil pair — through the
-// gob codec, so an RM's advertised ceiling survives the trip to the
+// in particular the oversubscription-aware Assured/Ceil pair — through a
+// live pipe, so an RM's advertised ceiling survives the trip to the
 // requester's admission logic.
 func TestBidRoundTripCarriesQoSFields(t *testing.T) {
 	bid := selection.Bid{
@@ -156,8 +156,8 @@ func TestOversizeFrameRefused(t *testing.T) {
 
 func TestOversizeIncomingFrameRefused(t *testing.T) {
 	var buf bytes.Buffer
-	// Forge a header claiming a gigantic frame (length + gob codec tag).
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0})
+	// Forge a header claiming a gigantic frame (length + binary codec tag).
+	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
 		t.Fatal("oversize incoming frame accepted")
@@ -166,8 +166,8 @@ func TestOversizeIncomingFrameRefused(t *testing.T) {
 
 func TestCorruptFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 4, 0}) // 4-byte gob body...
-	buf.Write([]byte{1, 2, 3, 4})    // ...of garbage
+	buf.Write([]byte{0, 0, 0, 4, 1}) // 4-byte binary body...
+	buf.Write([]byte{1, 2, 3, 4})    // ...of garbage: kind 258 is unknown
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
 		t.Fatal("garbage frame decoded")
@@ -176,7 +176,7 @@ func TestCorruptFrameRejected(t *testing.T) {
 
 func TestTruncatedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 1, 0, 0}) // claims 256 gob bytes, provides 2
+	buf.Write([]byte{0, 0, 1, 0, 1}) // claims 256 binary bytes, provides 2
 	buf.Write([]byte{1, 2})
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
@@ -186,7 +186,7 @@ func TestTruncatedFrameRejected(t *testing.T) {
 
 func TestFramesAreIndependent(t *testing.T) {
 	// Two messages written through different Conn instances decode from a
-	// single stream: no shared gob state.
+	// single stream: no cross-frame codec state.
 	var buf bytes.Buffer
 	NewConn(&buf).Write(KindAck, Ack{})
 	NewConn(&buf).Write(KindCount, Count{N: 7})
